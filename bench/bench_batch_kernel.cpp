@@ -6,33 +6,38 @@
 // what SweepEngine submits per batch). The SoA kernel resolves each
 // distinct (visibility, record) profile once and amortizes it across
 // every scenario lane, so the sweep shape is where the win lands; the
-// stock set bounds the worst case (2.5 lanes per profile). The ACI
-// hoist is also run disabled so its contribution is measured, not
-// asserted. Both kernels are byte-identical per cell
-// (batch_kernel_test), so these numbers can only disagree on time.
+// stock set bounds the worst case (2.5 lanes per profile). Both arms
+// call the kernels directly, the way the engine fills its cache
+// misses: the scalar arm projects and assesses each cell through
+// EasyCModel::assess, the SoA arm projects each record once and runs
+// every scenario through one BatchAssessor. Both kernels are
+// byte-identical per cell (batch_kernel_test), so these numbers can
+// only disagree on time.
 //
 // The gated pair (check_bench_regression: SoA >= 1.5x scalar
 // cells_per_s) runs the sweep-shaped block — the engine's cold fill
 // workload in the paper pipeline's sweeps.
 #include "bench/common.hpp"
 
+#include <array>
 #include <chrono>
 #include <functional>
 #include <string>
+#include <vector>
 
-#include "analysis/assessment_engine.hpp"
+#include "analysis/scenario.hpp"
+#include "easyc/batch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "top500/generator.hpp"
 #include "util/strings.hpp"
 
 namespace {
 
-using easyc::analysis::AssessmentEngine;
 using easyc::analysis::ScenarioSet;
 using easyc::analysis::ScenarioSpec;
 using easyc::util::format_double;
 namespace sc = easyc::analysis::scenarios;
-using BatchKernel = AssessmentEngine::BatchKernel;
+using easyc::model::SystemAssessment;
 
 const std::vector<easyc::top500::SystemRecord>& catalog() {
   static const auto kRecords = easyc::top500::generate_records();
@@ -76,22 +81,59 @@ double seconds_of(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// Mean cold time of one engine.assess over `set`, plus kernel stats.
-double cold_seconds(const ScenarioSet& set, BatchKernel kernel, bool hoist,
-                    easyc::par::ThreadPool& pool, int reps,
-                    easyc::model::BatchStats* stats = nullptr) {
-  double total = 0.0;
-  easyc::model::BatchStats acc;
-  for (int i = 0; i < reps; ++i) {
-    AssessmentEngine engine({.pool = &pool,
-                             .cache_enabled = false,
-                             .batch_kernel = kernel,
-                             .batch_hoist_aci = hoist});
-    total += seconds_of([&] { engine.assess(catalog(), set); });
-    acc += engine.batch_stats();
+using Results = std::vector<std::vector<SystemAssessment>>;
+
+// One cold fill of the catalog under `set` through the scalar kernel.
+// Like the SoA arm, it projects each distinct (visibility, record)
+// once, so the two arms differ only in the kernel.
+Results assess_scalar(const ScenarioSet& set) {
+  const auto& records = catalog();
+  Results out(set.size(), std::vector<SystemAssessment>(records.size()));
+  std::array<std::vector<easyc::model::Inputs>,
+             easyc::top500::kNumDataVisibilities>
+      projections;
+  for (size_t s = 0; s < set.size(); ++s) {
+    const ScenarioSpec& spec = set.specs()[s];
+    auto& inputs = projections[static_cast<size_t>(spec.visibility)];
+    if (inputs.empty()) {
+      for (const auto& r : records) {
+        inputs.push_back(easyc::top500::to_inputs(r, spec.visibility));
+      }
+    }
+    const easyc::model::EasyCModel model(spec.to_options());
+    for (size_t i = 0; i < records.size(); ++i) {
+      out[s][i] = model.assess(inputs[i]);
+    }
   }
-  if (stats) *stats = acc;
-  return total / reps;
+  return out;
+}
+
+// The same fill through the SoA kernel: one profile per distinct
+// (visibility, record), then each scenario as one batch of lanes.
+Results assess_soa(const ScenarioSet& set, easyc::par::ThreadPool& pool,
+                   easyc::model::BatchStats* stats = nullptr) {
+  const auto& records = catalog();
+  Results out(set.size(), std::vector<SystemAssessment>(records.size()));
+  easyc::model::BatchAssessor batch;
+  std::array<std::vector<size_t>, easyc::top500::kNumDataVisibilities> pids;
+  for (const auto& spec : set.specs()) {
+    auto& ids = pids[static_cast<size_t>(spec.visibility)];
+    if (!ids.empty()) continue;
+    for (const auto& r : records) {
+      ids.push_back(
+          batch.add_profile(easyc::top500::to_inputs(r, spec.visibility)));
+    }
+  }
+  batch.resolve_profiles(&pool);
+  std::vector<easyc::model::BatchAssessor::Cell> cells(records.size());
+  for (size_t s = 0; s < set.size(); ++s) {
+    const auto& ids = pids[static_cast<size_t>(set.specs()[s].visibility)];
+    for (size_t i = 0; i < records.size(); ++i) cells[i] = {ids[i], &out[s][i]};
+    batch.assess(set.specs()[s].to_options(), cells.data(), cells.size(),
+                 &pool);
+  }
+  if (stats) *stats += batch.stats();
+  return out;
 }
 
 std::string workload_table(const std::string& title, const ScenarioSet& set,
@@ -99,12 +141,12 @@ std::string workload_table(const std::string& title, const ScenarioSet& set,
   const double cells = static_cast<double>(catalog().size()) *
                        static_cast<double>(set.size());
   easyc::model::BatchStats stats;
-  const double t_scalar =
-      cold_seconds(set, BatchKernel::kScalar, true, pool, reps);
-  const double t_soa =
-      cold_seconds(set, BatchKernel::kSoa, true, pool, reps, &stats);
-  const double t_no_hoist =
-      cold_seconds(set, BatchKernel::kSoa, false, pool, reps);
+  double t_scalar = 0.0;
+  double t_soa = 0.0;
+  for (int i = 0; i < reps; ++i) {
+    t_scalar += seconds_of([&] { assess_scalar(set); }) / reps;
+    t_soa += seconds_of([&] { assess_soa(set, pool, &stats); }) / reps;
+  }
 
   const auto line = [&](const std::string& label, double t) {
     return "    " + label + format_double(t * 1e3, 2) + " ms  (" +
@@ -115,11 +157,6 @@ std::string workload_table(const std::string& title, const ScenarioSet& set,
                     " cells, mean of " + std::to_string(reps) + "\n";
   out += line("scalar per-cell oracle: ", t_scalar);
   out += line("SoA kernel:             ", t_soa);
-  out += line("SoA, ACI hoist off:     ", t_no_hoist);
-  out += "    ACI hoist delta: " +
-         format_double((t_no_hoist - t_soa) * 1e3, 2) + " ms/run (" +
-         format_double((t_no_hoist / t_soa - 1.0) * 100, 1) +
-         "% on top of the hoisted kernel)\n";
   const int r = reps;
   out += "    per run: " + std::to_string(stats.lanes / r) + " lanes from " +
          std::to_string(stats.profiles / r) + " resolved profiles (" +
@@ -142,23 +179,13 @@ std::string kernel_report() {
   return out;
 }
 
-// Cold fill throughput of one kernel on the sweep-shaped block: fresh
-// no-cache engine, so every cell computes through the selected path.
-// cells_per_s is the gated counter (check_bench_regression enforces
-// BM_BatchAssessSoA >= 1.5x BM_BatchAssessScalar).
-void bench_kernel(benchmark::State& state, BatchKernel kernel, bool hoist) {
-  easyc::par::ThreadPool one(1);
-  const ScenarioSet& set = sweep_block();
+// Cold fill throughput of one kernel on the sweep-shaped block: every
+// cell computes through that kernel. cells_per_s is the gated counter
+// (check_bench_regression enforces BM_BatchAssessSoA >= 1.5x
+// BM_BatchAssessScalar).
+void count_cells(benchmark::State& state) {
   const int64_t cells = static_cast<int64_t>(catalog().size()) *
-                        static_cast<int64_t>(set.size());
-  for (auto _ : state) {
-    AssessmentEngine engine({.pool = &one,
-                             .cache_enabled = false,
-                             .batch_kernel = kernel,
-                             .batch_hoist_aci = hoist});
-    auto r = engine.assess(catalog(), set);
-    benchmark::DoNotOptimize(&r);
-  }
+                        static_cast<int64_t>(sweep_block().size());
   state.SetItemsProcessed(state.iterations() * cells);
   state.counters["cells_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations() * cells),
@@ -166,20 +193,23 @@ void bench_kernel(benchmark::State& state, BatchKernel kernel, bool hoist) {
 }
 
 void BM_BatchAssessScalar(benchmark::State& state) {
-  bench_kernel(state, BatchKernel::kScalar, true);
+  for (auto _ : state) {
+    auto r = assess_scalar(sweep_block());
+    benchmark::DoNotOptimize(&r);
+  }
+  count_cells(state);
 }
 BENCHMARK(BM_BatchAssessScalar)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_BatchAssessSoA(benchmark::State& state) {
-  bench_kernel(state, BatchKernel::kSoa, true);
+  easyc::par::ThreadPool one(1);
+  for (auto _ : state) {
+    auto r = assess_soa(sweep_block(), one);
+    benchmark::DoNotOptimize(&r);
+  }
+  count_cells(state);
 }
 BENCHMARK(BM_BatchAssessSoA)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// The hoist ablation at bench granularity, for the A/B delta in JSON.
-void BM_BatchAssessSoANoHoist(benchmark::State& state) {
-  bench_kernel(state, BatchKernel::kSoa, false);
-}
-BENCHMARK(BM_BatchAssessSoANoHoist)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -43,6 +43,26 @@ void finalize_scenario(ScenarioResults& r) {
   r.coverage = count_coverage(r.assessments);
 }
 
+// The SoA kernel's win is amortization: one profile resolution per
+// distinct (visibility, record) shared by every scenario lane that
+// reads it. It is engaged when the set averages at least two lanes per
+// profile (sweep blocks); below that (e.g. the two-spec paper pair, one
+// visibility each) batching is pure overhead and the scalar path wins.
+// The two kernels are byte-identical per cell (batch_kernel_test), so
+// the choice only moves time.
+bool use_soa_kernel(const ScenarioSet& scenarios) {
+  bool seen[top500::kNumDataVisibilities] = {};
+  size_t distinct = 0;
+  for (const auto& spec : scenarios.specs()) {
+    const auto vis = static_cast<size_t>(spec.visibility);
+    if (!seen[vis]) {
+      seen[vis] = true;
+      ++distinct;
+    }
+  }
+  return scenarios.size() >= 2 * distinct;
+}
+
 }  // namespace
 
 double ScenarioResults::total(bool operational_side) const {
@@ -125,31 +145,12 @@ void AssessmentEngine::add_batch_stats(const model::BatchStats& stats) {
   batch_stats_ += stats;
 }
 
-bool AssessmentEngine::use_soa_kernel(const ScenarioSet& scenarios) const {
-  switch (options_.batch_kernel) {
-    case BatchKernel::kScalar:
-      return false;
-    case BatchKernel::kSoa:
-      return true;
-    case BatchKernel::kAuto:
-      break;
-  }
-  bool seen[top500::kNumDataVisibilities] = {};
-  size_t distinct = 0;
-  for (const auto& spec : scenarios.specs()) {
-    const auto vis = static_cast<size_t>(spec.visibility);
-    if (!seen[vis]) {
-      seen[vis] = true;
-      ++distinct;
-    }
-  }
-  return scenarios.size() >= 2 * distinct;
-}
-
 // One edition's wavefront: all (scenario, record) cells flattened into
 // parallel grids. A cell first consults the memo table; only a miss
 // pays for the visibility projection and the model. Each cell writes
-// its own slot, so results are bit-identical for any pool size.
+// its own slot, so results are bit-identical for any pool size. With
+// the cache disabled the same grids run with every cell a miss: no
+// fingerprints, no lookups, no publishes.
 //
 // Scenarios whose fingerprints coincide (aliases: same assessment
 // identity under different names/service lives, like the stock
@@ -166,6 +167,7 @@ void AssessmentEngine::assess_edition(
       options_.pool ? *options_.pool : par::ThreadPool::global();
   const size_t num_scenarios = scenarios.size();
   const size_t num_records = records.size();
+  const bool cached = options_.cache_enabled;
 
   out.scenarios.resize(num_scenarios);
   for (size_t s = 0; s < num_scenarios; ++s) {
@@ -178,67 +180,16 @@ void AssessmentEngine::assess_edition(
   }
   if (num_scenarios == 0 || num_records == 0) return;
 
-  if (!options_.cache_enabled) {
-    // No memo table: every cell computes. Scenarios sharing a data
-    // visibility share one immutable input projection, computed once
-    // per distinct visibility (the cached path cannot afford this —
-    // projecting every record upfront would tax warm runs that need
-    // no inputs at all — but here every cell reads its inputs).
-    std::array<std::vector<model::Inputs>, top500::kNumDataVisibilities>
-        projections;
-    for (const auto& spec : scenarios.specs()) {
-      auto& inputs = projections[static_cast<size_t>(spec.visibility)];
-      if (!inputs.empty()) continue;
-      inputs.resize(num_records);
-      par::parallel_for(pool, 0, num_records, [&](size_t i) {
-        inputs[i] = to_inputs(records[i], spec.visibility);
-      });
-    }
-    if (use_soa_kernel(scenarios)) {
-      // SoA kernel: one profile per distinct (visibility, record),
-      // resolved once, then each scenario assessed as a batch of lanes.
-      model::BatchAssessor batch({.hoist_aci = options_.batch_hoist_aci});
-      std::array<std::vector<size_t>, top500::kNumDataVisibilities> pids;
-      for (const auto& spec : scenarios.specs()) {
-        auto& ids = pids[static_cast<size_t>(spec.visibility)];
-        if (!ids.empty()) continue;
-        // The projections are consumed here: the assessor owns the
-        // inputs from registration on (lanes read profile state only).
-        auto& inputs = projections[static_cast<size_t>(spec.visibility)];
-        ids.reserve(num_records);
-        for (size_t i = 0; i < num_records; ++i) {
-          ids.push_back(batch.add_profile(std::move(inputs[i])));
-        }
-      }
-      batch.resolve_profiles(&pool);
-      std::vector<model::BatchAssessor::Cell> cells(num_records);
-      for (size_t s = 0; s < num_scenarios; ++s) {
-        const auto& ids =
-            pids[static_cast<size_t>(scenarios.specs()[s].visibility)];
-        for (size_t i = 0; i < num_records; ++i) {
-          cells[i] = {ids[i], &out.scenarios[s].assessments[i]};
-        }
-        batch.assess(models[s].options(), cells.data(), cells.size(), &pool);
-      }
-      add_batch_stats(batch.stats());
-    } else {
-      par::parallel_for(
-          pool, 0, num_scenarios * num_records, [&](size_t cell) {
-            const size_t s = cell / num_records;
-            const size_t i = cell % num_records;
-            const auto& inputs = projections[static_cast<size_t>(
-                scenarios.specs()[s].visibility)];
-            out.scenarios[s].assessments[i] = models[s].assess(inputs[i]);
-          });
-    }
-    for (auto& r : out.scenarios) finalize_scenario(r);
-    return;
+  std::vector<uint64_t> record_fps;
+  if (cached) {
+    record_fps.resize(num_records);
+    par::parallel_for(pool, 0, num_records, [&](size_t i) {
+      record_fps[i] = records[i].content_fingerprint();
+    });
   }
-
-  std::vector<uint64_t> record_fps(num_records);
-  par::parallel_for(pool, 0, num_records, [&](size_t i) {
-    record_fps[i] = records[i].content_fingerprint();
-  });
+  auto key = [&](size_t s, size_t i) {
+    return CellKey{record_fps[i], scenario_fps[s]};
+  };
 
   std::vector<size_t> primaries;
   std::vector<size_t> aliases;
@@ -256,12 +207,10 @@ void AssessmentEngine::assess_edition(
           const size_t s = scenario_indices[cell / num_records];
           const size_t i = cell % num_records;
           model::SystemAssessment& slot = out.scenarios[s].assessments[i];
-          const CellKey key{record_fps[i], scenario_fps[s]};
-          if (!cache_.lookup(key, slot)) {
-            slot = models[s].assess(
-                to_inputs(records[i], scenarios.specs()[s].visibility));
-            cache_.insert(key, slot);
-          }
+          if (cached && cache_.lookup(key(s, i), slot)) return;
+          slot = models[s].assess(
+              to_inputs(records[i], scenarios.specs()[s].visibility));
+          if (cached) cache_.insert(key(s, i), slot);
         });
   };
 
@@ -272,18 +221,19 @@ void AssessmentEngine::assess_edition(
   // precede any insert it could hit: keys within a grid are unique).
   // The misses then batch through the kernel, one profile per distinct
   // (visibility, record), and publish to the cache afterwards.
-  model::BatchAssessor batch({.hoist_aci = options_.batch_hoist_aci});
+  model::BatchAssessor batch;
   std::array<std::vector<int64_t>, top500::kNumDataVisibilities> pid;
   auto run_grid_soa = [&](const std::vector<size_t>& scenario_indices) {
     const size_t ngrid = scenario_indices.size() * num_records;
     std::vector<uint8_t> hit(ngrid);
-    par::parallel_for(pool, 0, ngrid, [&](size_t cell) {
-      const size_t s = scenario_indices[cell / num_records];
-      const size_t i = cell % num_records;
-      model::SystemAssessment& slot = out.scenarios[s].assessments[i];
-      hit[cell] =
-          cache_.lookup({record_fps[i], scenario_fps[s]}, slot) ? 1 : 0;
-    });
+    if (cached) {
+      par::parallel_for(pool, 0, ngrid, [&](size_t cell) {
+        const size_t s = scenario_indices[cell / num_records];
+        const size_t i = cell % num_records;
+        hit[cell] =
+            cache_.lookup(key(s, i), out.scenarios[s].assessments[i]) ? 1 : 0;
+      });
+    }
     // Serial scan keeps profile ids deterministic; projection of the
     // distinct misses is parallel.
     std::vector<std::pair<size_t, size_t>> need;  // (visibility, record)
@@ -323,10 +273,10 @@ void AssessmentEngine::assess_edition(
       }
       if (cells.empty()) continue;
       batch.assess(models[s].options(), cells.data(), cells.size(), &pool);
+      if (!cached) continue;
       par::parallel_for(pool, 0, cells.size(), [&](size_t k) {
         const size_t i = cell_records[k];
-        cache_.insert({record_fps[i], scenario_fps[s]},
-                      out.scenarios[s].assessments[i]);
+        cache_.insert(key(s, i), out.scenarios[s].assessments[i]);
       });
     }
   };

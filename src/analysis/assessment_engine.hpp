@@ -92,21 +92,12 @@ struct EditionAssessment {
 
 class AssessmentEngine {
  public:
-  /// Which cache-miss fill path computes assessments. `kScalar` is the
-  /// per-cell oracle (EasyCModel::assess); `kSoa` batches an edition's
-  /// misses through model::BatchAssessor (resolve once per distinct
-  /// record, vectorized arithmetic core); `kAuto` picks kSoa when the
-  /// scenario set amortizes profile resolution across at least two
-  /// lanes per distinct visibility, kScalar otherwise. The two
-  /// kernels are byte-identical per cell (enforced by
-  /// batch_kernel_test), so this knob only moves time.
-  enum class BatchKernel { kScalar, kSoa, kAuto };
-
   struct Options {
     /// Pool the shards run on; null = the process-global pool.
     par::ThreadPool* pool = nullptr;
-    /// false = always recompute (the no-cache ablation arm). Results
-    /// are bit-identical either way.
+    /// false = always recompute (the no-cache ablation arm): the same
+    /// fill grids run with every cell a miss. Results are bit-identical
+    /// either way.
     bool cache_enabled = true;
     /// Resident assessment bound (0 = unbounded). A full edition set
     /// is ~500 entries per scenario; the default never evicts in the
@@ -114,11 +105,6 @@ class AssessmentEngine {
     size_t cache_capacity = 0;
     /// Stripes of the memo table.
     size_t cache_shards = 16;
-    /// Cache-miss fill path (see BatchKernel).
-    BatchKernel batch_kernel = BatchKernel::kAuto;
-    /// SoA only: serve ACI lookups from a per-batch table instead of
-    /// querying the database per lane. Off only for A/B measurement.
-    bool batch_hoist_aci = true;
   };
 
   AssessmentEngine();  // default options
@@ -141,7 +127,11 @@ class AssessmentEngine {
   void clear_cache() { cache_.clear(); }
 
   /// Cumulative SoA-kernel counters (lanes batched, profiles resolved,
-  /// validations, ACI lookups hoisted). All zero under kScalar. Safe
+  /// validations, ACI lookups hoisted). Fills run through the SoA
+  /// kernel when the scenario set averages at least two lanes per
+  /// distinct visibility (sweep blocks) and through the scalar per-cell
+  /// EasyCModel::assess otherwise (the paper pair), which counts
+  /// nothing here — so `lanes` says which kernel ran. Safe
   /// to call while other threads run assess()/run() — the server's
   /// concurrent admission path does exactly that.
   model::BatchStats batch_stats() const;
@@ -192,14 +182,6 @@ class AssessmentEngine {
 
   using Cache =
       par::ShardedCache<CellKey, model::SystemAssessment, CellKeyHash>;
-
-  // The SoA kernel's win is amortization: one profile resolution per
-  // distinct (visibility, record) shared by every scenario lane that
-  // reads it. Under kAuto it is only engaged when the set averages at
-  // least two lanes per profile; below that (e.g. the two-spec paper
-  // pair, one visibility each) batching is pure overhead and the
-  // scalar path wins. Explicit kScalar/kSoa always get what they ask.
-  bool use_soa_kernel(const ScenarioSet& scenarios) const;
 
   void add_batch_stats(const model::BatchStats& stats);
 

@@ -133,16 +133,10 @@ void BatchAssessor::assess(const EasyCOptions& options, const Cell* cells,
 
   const bool aci_overridden = oo.aci_override_g_kwh.has_value();
   const double aci_override = oo.aci_override_g_kwh.value_or(0.0);
-  if (!aci_overridden && tuning_.hoist_aci) ensure_aci_table(oo.aci);
+  if (!aci_overridden) ensure_aci_table(oo.aci);
 
   stats_.lanes += count;
-  if (!aci_overridden) {
-    if (tuning_.hoist_aci) {
-      stats_.aci_hoisted += count;
-    } else {
-      stats_.aci_db_queries += 2 * count;  // best_aci + region_aci per lane
-    }
-  }
+  if (!aci_overridden) stats_.aci_hoisted += count;
 
   const size_t nchunks = (count + kLanesPerChunk - 1) / kLanesPerChunk;
   par::parallel_for(pool ? *pool : par::ThreadPool::global(), 0, nchunks,
@@ -182,17 +176,11 @@ void BatchAssessor::assess_chunk(const EasyCOptions& options,
       w.aci_valid[l] = 1;
       w.aci[l] = aci_override;
       w.refined[l] = 0;
-    } else if (tuning_.hoist_aci) {
+    } else {
       const AciEntry& e = aci_table_[p.aci_key];
       w.aci_valid[l] = e.valid;
       w.aci[l] = e.aci_g_kwh;
       w.refined[l] = e.region_refined;
-    } else {
-      const auto best = oo.aci->best_aci(p.inputs.country, p.inputs.region);
-      w.aci_valid[l] = best.has_value();
-      w.aci[l] = best.value_or(0.0);
-      w.refined[l] =
-          oo.aci->region_aci(p.inputs.country, p.inputs.region).has_value();
     }
     w.op_ok[l] = w.aci_valid[l] && p.op.path != Path::kNone;
 

@@ -70,13 +70,6 @@ struct BatchStats {
 
 class BatchAssessor {
  public:
-  struct Tuning {
-    /// Resolve each distinct (country, region) once per batch instead
-    /// of querying the ACI database per lane. Off only for A/B
-    /// measurement in the bench.
-    bool hoist_aci = true;
-  };
-
   /// One lane of a batch: which registered profile, and where the
   /// assessment lands. Each lane writes only its own slot, so any
   /// thread count produces identical bytes.
@@ -84,9 +77,6 @@ class BatchAssessor {
     size_t profile = 0;
     SystemAssessment* out = nullptr;
   };
-
-  BatchAssessor() = default;
-  explicit BatchAssessor(Tuning tuning) : tuning_(tuning) {}
 
   /// Register a distinct record's inputs; returns its profile id.
   /// Callers dedupe (the engine keys profiles by content fingerprint
@@ -134,7 +124,6 @@ class BatchAssessor {
                     size_t begin, size_t end, bool aci_overridden,
                     double aci_override) const;
 
-  Tuning tuning_;
   std::vector<Profile> profiles_;
   size_t resolved_ = 0;  ///< profiles_[0..resolved_) are resolved
 

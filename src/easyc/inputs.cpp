@@ -70,7 +70,8 @@ void Inputs::validate() const {
   if (total_cores && *total_cores <= 0) {
     throw ValidationError(name + ": total cores must be positive");
   }
-  if (operation_year && (*operation_year < 1993 || *operation_year > 2035)) {
+  if (operation_year &&
+      (*operation_year < 1993 || *operation_year > kMaxOperationYear)) {
     // 1993 is the first Top500 list; reject obviously bogus years.
     throw ValidationError(name + ": operation year out of range");
   }

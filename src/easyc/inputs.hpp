@@ -44,6 +44,10 @@ std::string metric_name(Metric m);
 /// True for the two optional metrics.
 bool metric_is_optional(Metric m);
 
+/// Latest operation year Inputs::validate accepts (the earliest is
+/// 1993, the first Top500 list).
+inline constexpr int kMaxOperationYear = 2035;
+
 struct Inputs {
   // --- identity & context (available for every Top500 entry) ---
   std::string name;

@@ -37,6 +37,7 @@
 
 #include "analysis/sweep.hpp"
 #include "parallel/sharded_cache.hpp"
+#include "top500/history.hpp"
 #include "util/error.hpp"
 
 namespace easyc::service {
@@ -57,8 +58,9 @@ inline constexpr size_t kDefaultMaxLineBytes = 64 * 1024;
 inline constexpr size_t kDefaultMaxSweepCells = 1u << 20;
 
 /// Turnover histories are memoized per edition count; the cap bounds
-/// that memo (and one request's runtime).
-inline constexpr int kMaxTurnoverEditions = 64;
+/// that memo (and one request's runtime), and is the longest history
+/// whose simulated entrants still carry a valid operation year.
+inline constexpr int kMaxTurnoverEditions = top500::kMaxHistoryEditions;
 
 /// Longest accepted `id=` token (printable ASCII, no whitespace).
 inline constexpr size_t kMaxRequestIdBytes = 64;

@@ -2,6 +2,7 @@
 
 #include <errno.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <stdlib.h>
@@ -72,9 +73,7 @@ struct AssessmentServer::SessionGate {
 AssessmentServer::AssessmentServer(ServerOptions options)
     : options_(options),
       pool_(options.threads),
-      engine_({.pool = &pool_,
-               .cache_capacity = options.cache_capacity,
-               .batch_kernel = options.batch_kernel}),
+      engine_({.pool = &pool_, .cache_capacity = options.cache_capacity}),
       scenarios_(default_scenarios()),
       records_(top500::generate_records()) {
   if (::pipe(wake_pipe_) != 0) {
@@ -680,6 +679,12 @@ void AssessmentServer::serve_tcp() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int conn = ::accept(listen_fd_, nullptr, nullptr);
     if (conn < 0) continue;
+    // Replies go out as soon as they are framed. With Nagle on, a reply
+    // sent while the previous one is still unacknowledged waits for the
+    // client's delayed ACK, which pins a paced client's latency to its
+    // own request period.
+    const int nodelay = 1;
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     sessions.emplace_back([this, conn] {
       FdSource source(conn, wake_pipe_[0]);
       FdSink sink(conn, /*is_socket=*/true);

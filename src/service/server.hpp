@@ -70,8 +70,6 @@ struct ServerOptions {
   /// Warm-start source and shutdown-snapshot target (nullopt = no
   /// persistence).
   std::optional<std::string> cache_file;
-  analysis::AssessmentEngine::BatchKernel batch_kernel =
-      analysis::AssessmentEngine::BatchKernel::kAuto;
   /// Resident cache bound (0 = unbounded).
   size_t cache_capacity = 0;
   size_t max_line_bytes = kDefaultMaxLineBytes;

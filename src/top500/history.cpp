@@ -11,7 +11,7 @@ namespace {
 
 std::string edition_label(int index) {
   // Editions alternate June/November starting from November 2024.
-  const int year = 2024 + (index + 1) / 2;
+  const int year = kFirstEditionYear + (index + 1) / 2;
   const bool november = (index % 2) == 0;
   return (november ? "Nov " : "Jun ") + std::to_string(year);
 }
@@ -82,7 +82,7 @@ std::vector<ListEdition> generate_history(const HistoryConfig& cfg) {
       SystemRecord rec = synthesize_entrant(
           rng, nominal_rank, cat, /*year_offset=*/(cycle + 1) / 2,
           perf_scale, cfg.base);
-      rec.year = std::min(rec.year, 2024 + (cycle + 1) / 2);
+      rec.year = std::min(rec.year, kFirstEditionYear + (cycle + 1) / 2);
       rec.truth.power_kw /= power_discount;
       rec.name = "Entrant-" + std::to_string(cycle) + "-" +
                  std::to_string(k);

@@ -15,9 +15,19 @@
 #include <string>
 #include <vector>
 
+#include "easyc/inputs.hpp"
 #include "top500/generator.hpp"
 
 namespace easyc::top500 {
+
+/// Year of edition 0 (Nov 2024). Edition i is dated
+/// kFirstEditionYear + (i + 1) / 2, and its entrants are no newer.
+inline constexpr int kFirstEditionYear = 2024;
+
+/// Longest history whose entrants all pass Inputs::validate: the last
+/// edition's year must not pass model::kMaxOperationYear.
+inline constexpr int kMaxHistoryEditions =
+    2 * (model::kMaxOperationYear - kFirstEditionYear) + 1;
 
 struct HistoryConfig {
   GeneratorConfig base;          ///< the first edition (Nov 2024)

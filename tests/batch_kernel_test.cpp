@@ -1,16 +1,21 @@
-// Scalar-vs-SoA bit-identity of the batch assessment kernel: the
-// catalog under every stock scenario, a ~1k-cell sweep slice, mixed
-// valid/invalid/missing-input lanes, ValidationError parity, and
-// 1-vs-N-thread determinism. The scalar path (EasyCModel::assess) is
-// the oracle; the SoA kernel must reproduce it byte-for-byte — same
-// doubles, same failure reasons in the same order, same coverage —
-// which this test checks through the assessment codec's bytes.
+// Engine-vs-oracle bit-identity of both fill kernels. The engine picks
+// its kernel from the scenario set: the SoA batch kernel when the set
+// averages at least two lanes per resolved profile (sweep blocks), the
+// scalar per-cell path otherwise (the paper pair). Whichever runs, with
+// the cache off, cold, or warm, on one thread or many, every cell must
+// equal a direct EasyCModel::assess(to_inputs(...)) byte-for-byte —
+// same doubles, same failure reasons in the same order, same coverage —
+// which this test checks through the assessment codec's bytes. The
+// BatchAssessor is also checked directly over mixed valid/invalid/
+// missing-input lanes and for ValidationError parity.
 #include "easyc/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/assessment_engine.hpp"
@@ -28,7 +33,6 @@ namespace {
 
 namespace sc = scenarios;
 using analysis::AssessmentEngine;
-using BatchKernel = AssessmentEngine::BatchKernel;
 
 // Byte-identity is asserted through the codec: if two assessments
 // encode to the same bytes, every double is bit-equal and every
@@ -39,20 +43,33 @@ std::string bytes_of(const model::SystemAssessment& a) {
   return w.bytes();
 }
 
-void expect_bytes_identical(const std::vector<EditionAssessment>& a,
-                            const std::vector<EditionAssessment>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t e = 0; e < a.size(); ++e) {
-    ASSERT_EQ(a[e].scenarios.size(), b[e].scenarios.size());
-    for (size_t s = 0; s < a[e].scenarios.size(); ++s) {
-      const auto& sa = a[e].scenarios[s].assessments;
-      const auto& sb = b[e].scenarios[s].assessments;
-      ASSERT_EQ(sa.size(), sb.size());
-      for (size_t i = 0; i < sa.size(); ++i) {
-        ASSERT_EQ(bytes_of(sa[i]), bytes_of(sb[i]))
-            << a[e].label << " scenario " << a[e].scenarios[s].spec.name
-            << " record " << i;
-      }
+// The oracle: every (scenario, record) cell assessed directly by the
+// scalar model, indexed [scenario][record].
+using OracleBytes = std::vector<std::vector<std::string>>;
+
+OracleBytes oracle_bytes(const std::vector<top500::SystemRecord>& records,
+                         const ScenarioSet& set) {
+  OracleBytes out;
+  for (const auto& spec : set.specs()) {
+    const model::EasyCModel model(spec.to_options());
+    auto& column = out.emplace_back();
+    for (const auto& r : records) {
+      column.push_back(bytes_of(model.assess(to_inputs(r, spec.visibility))));
+    }
+  }
+  return out;
+}
+
+void expect_matches_oracle(const EditionAssessment& got,
+                           const OracleBytes& want) {
+  ASSERT_EQ(got.scenarios.size(), want.size());
+  for (size_t s = 0; s < want.size(); ++s) {
+    const auto& cells = got.scenarios[s].assessments;
+    ASSERT_EQ(cells.size(), want[s].size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+      ASSERT_EQ(bytes_of(cells[i]), want[s][i])
+          << got.label << " scenario " << got.scenarios[s].spec.name
+          << " record " << i;
     }
   }
 }
@@ -65,75 +82,129 @@ ScenarioSet all_stock_scenarios() {
   return set;
 }
 
-// --- exhaustive catalog x stock scenarios ---------------------------
-
-TEST(BatchKernel, CatalogAllStockScenariosByteIdentical) {
-  const auto records = top500::generate_records();
-  const auto set = all_stock_scenarios();
-  par::ThreadPool one(1);
-
-  // No-cache engines exercise the kernels directly (every cell is a
-  // fill); the direct model is the per-cell oracle underneath both.
-  AssessmentEngine soa({.pool = &one,
-                        .cache_enabled = false,
-                        .batch_kernel = BatchKernel::kSoa});
-  AssessmentEngine scalar({.pool = &one,
-                           .cache_enabled = false,
-                           .batch_kernel = BatchKernel::kScalar});
-  const auto rs = soa.assess(records, set);
-  const auto rr = scalar.assess(records, set);
-
-  ASSERT_EQ(rs.scenarios.size(), rr.scenarios.size());
-  for (size_t s = 0; s < rs.scenarios.size(); ++s) {
-    const ScenarioSpec& spec = rs.scenarios[s].spec;
-    model::EasyCModel oracle(spec.to_options());
-    ASSERT_EQ(rs.scenarios[s].assessments.size(), records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      const std::string want =
-          bytes_of(oracle.assess(to_inputs(records[i], spec.visibility)));
-      ASSERT_EQ(bytes_of(rs.scenarios[s].assessments[i]), want)
-          << spec.name << " record " << i << " (soa vs oracle)";
-      ASSERT_EQ(bytes_of(rr.scenarios[s].assessments[i]), want)
-          << spec.name << " record " << i << " (scalar vs oracle)";
+// A sweep block: 12 derived what-ifs over the enhanced visibility (grid
+// axes fab x pue x util; no ACI override, so lanes read the per-batch
+// ACI table) — the shape SweepEngine submits to the engine.
+ScenarioSet sweep_block() {
+  ScenarioSet set;
+  int n = 0;
+  for (double fab : {0.3, 0.475, 0.65}) {
+    for (double pue : {1.15, 1.45}) {
+      for (double util : {0.6, 0.9}) {
+        ScenarioSpec spec = sc::enhanced();
+        spec.name = "sweep/" + std::to_string(n++);
+        spec.fab_aci_kg_kwh = fab;
+        spec.pue_override = pue;
+        spec.default_utilization = util;
+        set.add(spec);
+      }
     }
   }
-
-  // The SoA engine resolved each distinct (visibility, record) profile
-  // and validated it exactly once; the scalar engine batched nothing.
-  const auto& stats = soa.batch_stats();
-  EXPECT_GT(stats.lanes, 0u);
-  EXPECT_GT(stats.profiles, 0u);
-  EXPECT_EQ(stats.validations, stats.profiles);
-  EXPECT_EQ(scalar.batch_stats().lanes, 0u);
+  return set;
 }
 
-TEST(BatchKernel, CachedEngineMatchesScalarColdAndWarm) {
+// --- both kernels x cache off / cold / warm x 1 vs N threads --------
+
+TEST(BatchKernel, EngineMatchesOracleOnBothKernelsCacheModesAndThreads) {
+  const auto records = top500::generate_records();
+  struct Shape {
+    const char* name;
+    ScenarioSet set;
+    bool soa;  ///< which side of the lanes-per-profile rule
+  };
+  // The paper pair has one lane per profile (scalar); the sweep block
+  // has twelve (SoA).
+  const Shape shapes[] = {{"paper pair", ScenarioSet::paper(), false},
+                          {"sweep block", sweep_block(), true}};
+  for (const Shape& shape : shapes) {
+    const OracleBytes want = oracle_bytes(records, shape.set);
+    const size_t cells = shape.set.size() * records.size();
+    const size_t lanes = shape.soa ? cells : 0;
+    for (unsigned threads : {1u, 8u}) {
+      SCOPED_TRACE(std::string(shape.name) + ", " + std::to_string(threads) +
+                   " thread(s)");
+      par::ThreadPool pool(threads);
+
+      AssessmentEngine off({.pool = &pool, .cache_enabled = false});
+      expect_matches_oracle(off.assess(records, shape.set), want);
+      expect_matches_oracle(off.assess(records, shape.set), want);
+      EXPECT_EQ(off.batch_stats().lanes, 2 * lanes);
+      EXPECT_EQ(off.cache_stats().lookups(), 0u);
+      EXPECT_EQ(off.cache_stats().entries, 0u);
+
+      AssessmentEngine cached({.pool = &pool});
+      expect_matches_oracle(cached.assess(records, shape.set), want);  // cold
+      EXPECT_EQ(cached.batch_stats().lanes, lanes);
+      EXPECT_EQ(cached.cache_stats().misses, cells);
+      expect_matches_oracle(cached.assess(records, shape.set), want);  // warm
+      EXPECT_EQ(cached.batch_stats().lanes, lanes);  // pure lookups
+      EXPECT_EQ(cached.cache_stats().misses, cells);
+      EXPECT_EQ(cached.cache_stats().hits, cells);
+
+      const model::BatchStats& stats = cached.batch_stats();
+      EXPECT_EQ(stats.validations, stats.profiles);
+      EXPECT_EQ(stats.profiles, shape.soa ? records.size() : 0u);
+    }
+  }
+}
+
+TEST(BatchKernel, CatalogAllStockScenariosMatchOracle) {
+  // Six specs over three visibilities: two lanes per profile, so the
+  // SoA kernel fills; the extended-lifetime what-if aliases enhanced
+  // and runs as the second grid, recomputed when the cache is off.
+  const auto records = top500::generate_records();
+  const auto set = all_stock_scenarios();
+  const OracleBytes want = oracle_bytes(records, set);
+  par::ThreadPool one(1);
+
+  AssessmentEngine off({.pool = &one, .cache_enabled = false});
+  expect_matches_oracle(off.assess(records, set), want);
+  EXPECT_EQ(off.batch_stats().lanes, set.size() * records.size());
+
+  AssessmentEngine cached({.pool = &one});
+  expect_matches_oracle(cached.assess(records, set), want);
+  // The alias grid found its entries resident: one lane fewer per
+  // record than the uncached engine, the same profiles.
+  EXPECT_EQ(cached.batch_stats().lanes, (set.size() - 1) * records.size());
+  EXPECT_EQ(cached.batch_stats().profiles, off.batch_stats().profiles);
+  EXPECT_EQ(cached.batch_stats().validations, cached.batch_stats().profiles);
+}
+
+TEST(BatchKernel, HistoryMatchesOracleColdAndWarm) {
   top500::HistoryConfig cfg;
   cfg.editions = 3;
   const auto history = top500::generate_history(cfg);
-  par::ThreadPool one(1);
-
-  AssessmentEngine soa({.pool = &one, .batch_kernel = BatchKernel::kSoa});
-  AssessmentEngine scalar(
-      {.pool = &one, .batch_kernel = BatchKernel::kScalar});
   const auto set = all_stock_scenarios();
+  par::ThreadPool wide(4);
 
-  const auto cold_soa = soa.run(history, set);
-  const auto cold_scalar = scalar.run(history, set);
-  expect_bytes_identical(cold_soa, cold_scalar);
-  // The miss-fill batching must not change what lands in the memo:
-  // hit/miss accounting stays identical to the scalar wavefront.
-  EXPECT_EQ(soa.cache_stats().misses, scalar.cache_stats().misses);
-  EXPECT_EQ(soa.cache_stats().hits, scalar.cache_stats().hits);
-  EXPECT_EQ(soa.cache_stats().entries, scalar.cache_stats().entries);
+  // Exactly-once: the cold run misses once per distinct cache key.
+  std::set<std::pair<uint64_t, uint64_t>> keys;
+  for (const auto& edition : history) {
+    for (const auto& r : edition.records) {
+      for (const auto& spec : set.specs()) {
+        keys.emplace(r.content_fingerprint(), spec.fingerprint());
+      }
+    }
+  }
 
-  const auto warm_soa = soa.run(history, set);
-  expect_bytes_identical(cold_soa, warm_soa);
+  AssessmentEngine engine({.pool = &wide});
+  const auto cold = engine.run(history, set);
+  EXPECT_EQ(engine.cache_stats().misses, keys.size());
+  EXPECT_EQ(engine.batch_stats().lanes, keys.size());
+  const auto warm = engine.run(history, set);
+  EXPECT_EQ(engine.cache_stats().misses, keys.size());
+  ASSERT_EQ(cold.size(), history.size());
+  ASSERT_EQ(warm.size(), history.size());
+  for (size_t e = 0; e < history.size(); ++e) {
+    const OracleBytes want = oracle_bytes(history[e].records, set);
+    expect_matches_oracle(cold[e], want);
+    expect_matches_oracle(warm[e], want);
+  }
 }
 
 // --- sweep slice ----------------------------------------------------
 
-TEST(BatchKernel, SweepSliceByteIdentical) {
+TEST(BatchKernel, SweepSliceMatchesOracle) {
   // A 4-axis slice: 5 x 5 x 5 x 8 = 1000 grid cells plus the base and
   // per-axis endpoint cells. Lifetime cells alias on the assessment
   // fingerprint, so the distinct-work set stays test-sized while the
@@ -143,21 +214,31 @@ TEST(BatchKernel, SweepSliceByteIdentical) {
   auto records = top500::generate_records();
   records.resize(30);
 
+  const SweepExpansion expansion(spec);
+  ScenarioSet cells;
+  for (size_t i = 0; i < expansion.size(); ++i) cells.add(expansion.cell(i));
+  ASSERT_GE(cells.size(), 1000u);
+  par::ThreadPool wide(4);
+  AssessmentEngine engine({.pool = &wide});
+  expect_matches_oracle(engine.assess(records, cells),
+                        oracle_bytes(records, cells));
+  EXPECT_GT(engine.batch_stats().lanes, 0u);
+  EXPECT_GT(engine.cache_stats().hits, 0u);  // the lifetime aliases
+
+  // The sweep itself renders the same bytes cached on one thread and
+  // uncached on many.
   par::ThreadPool one(1);
-  AssessmentEngine soa({.pool = &one, .batch_kernel = BatchKernel::kSoa});
-  AssessmentEngine scalar(
-      {.pool = &one, .batch_kernel = BatchKernel::kScalar});
-
-  std::ostringstream soa_csv, scalar_csv;
-  CsvCellSink soa_sink(soa_csv), scalar_sink(scalar_csv);
-  SweepEngine se({.engine = &soa});
-  SweepEngine sse({.engine = &scalar});
-  const auto rs = se.run(records, spec, &soa_sink);
-  const auto rr = sse.run(records, spec, &scalar_sink);
-
-  ASSERT_GE(rs.cells.size(), 1000u);
-  EXPECT_EQ(render_sweep_report(rs), render_sweep_report(rr));
-  EXPECT_EQ(soa_csv.str(), scalar_csv.str());
+  AssessmentEngine cached({.pool = &one});
+  AssessmentEngine uncached({.pool = &wide, .cache_enabled = false});
+  std::ostringstream cached_csv, uncached_csv;
+  CsvCellSink cached_sink(cached_csv), uncached_sink(uncached_csv);
+  SweepEngine se({.engine = &cached});
+  SweepEngine ue({.engine = &uncached});
+  const auto rc = se.run(records, spec, &cached_sink);
+  const auto ru = ue.run(records, spec, &uncached_sink);
+  ASSERT_GE(rc.cells.size(), 1000u);
+  EXPECT_EQ(render_sweep_report(rc), render_sweep_report(ru));
+  EXPECT_EQ(cached_csv.str(), uncached_csv.str());
 }
 
 // --- mixed valid / failing / missing-input lanes --------------------
@@ -311,66 +392,33 @@ TEST(BatchKernel, InvalidInputsThrowValidationErrorLikeScalar) {
   EXPECT_THROW(batch.resolve_profiles(), util::ValidationError);
 }
 
-// --- thread-count determinism ---------------------------------------
-
-TEST(BatchKernel, OneVsManyThreadsBitIdentical) {
-  top500::HistoryConfig cfg;
-  cfg.editions = 3;
-  const auto history = top500::generate_history(cfg);
-  par::ThreadPool one(1);
-  par::ThreadPool wide(8);
-
-  AssessmentEngine a({.pool = &one, .batch_kernel = BatchKernel::kSoa});
-  AssessmentEngine b({.pool = &wide, .batch_kernel = BatchKernel::kSoa});
-  const auto set = all_stock_scenarios();
-  expect_bytes_identical(a.run(history, set), b.run(history, set));
-  EXPECT_EQ(a.cache_stats().misses, b.cache_stats().misses);
-  EXPECT_EQ(a.batch_stats().lanes, b.batch_stats().lanes);
-  EXPECT_EQ(a.batch_stats().profiles, b.batch_stats().profiles);
-}
-
 // --- stats accounting -----------------------------------------------
 
 TEST(BatchKernel, AciHoistStatsAccounting) {
   const auto records = top500::generate_records();
+  // Two lanes per profile, so the SoA kernel fills; no ACI override,
+  // so every lane reads the grid database through the per-batch table.
   ScenarioSet set;
   set.add(sc::enhanced());
+  ScenarioSpec pue = sc::enhanced();
+  pue.name = "enhanced/pue";
+  pue.pue_override = 1.2;
+  set.add(pue);
   par::ThreadPool one(1);
 
-  AssessmentEngine hoisted({.pool = &one,
-                            .cache_enabled = false,
-                            .batch_kernel = BatchKernel::kSoa});
-  hoisted.assess(records, set);
-  const auto& hs = hoisted.batch_stats();
-  EXPECT_EQ(hs.lanes, records.size());
+  AssessmentEngine engine({.pool = &one, .cache_enabled = false});
+  expect_matches_oracle(engine.assess(records, set),
+                        oracle_bytes(records, set));
+  const auto& hs = engine.batch_stats();
+  EXPECT_EQ(hs.lanes, set.size() * records.size());
   EXPECT_EQ(hs.profiles, records.size());
   EXPECT_EQ(hs.validations, records.size());
   // Every lane's ACI came from the per-batch table; the database saw
   // two probes (country + region) per distinct pair, not per lane.
   EXPECT_EQ(hs.aci_hoisted, hs.lanes);
   EXPECT_GT(hs.aci_keys, 0u);
-  EXPECT_LT(hs.aci_keys, hs.lanes);
+  EXPECT_LT(hs.aci_keys, records.size());
   EXPECT_EQ(hs.aci_db_queries, 2 * hs.aci_keys);
-
-  AssessmentEngine direct({.pool = &one,
-                           .cache_enabled = false,
-                           .batch_kernel = BatchKernel::kSoa,
-                           .batch_hoist_aci = false});
-  direct.assess(records, set);
-  const auto& ds = direct.batch_stats();
-  EXPECT_EQ(ds.aci_hoisted, 0u);
-  EXPECT_EQ(ds.aci_db_queries, 2 * ds.lanes);
-
-  // And the A/B knob moves only time, never bytes.
-  model::EasyCModel oracle(sc::enhanced().to_options());
-  const auto ra = hoisted.assess(records, set);
-  const auto rb = direct.assess(records, set);
-  for (size_t i = 0; i < records.size(); ++i) {
-    const std::string want = bytes_of(
-        oracle.assess(to_inputs(records[i], sc::enhanced().visibility)));
-    EXPECT_EQ(bytes_of(ra.scenarios[0].assessments[i]), want);
-    EXPECT_EQ(bytes_of(rb.scenarios[0].assessments[i]), want);
-  }
 }
 
 }  // namespace

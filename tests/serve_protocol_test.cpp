@@ -61,6 +61,29 @@ TEST(ParseRequest, WhitespaceIsFlexible) {
   EXPECT_EQ(req.editions, 4);
 }
 
+// The editions cap is the longest simulated history whose entrants all
+// carry a valid operation year: the cap itself parses, one more is
+// refused at parse time with the range message.
+TEST(ParseRequest, TurnoverEditionsCapMatchesTheYearValidator) {
+  const int cap = service::kMaxTurnoverEditions;
+  EXPECT_EQ(cap, easyc::top500::kMaxHistoryEditions);
+  EXPECT_EQ(easyc::top500::kFirstEditionYear + cap / 2,
+            easyc::model::kMaxOperationYear);
+  EXPECT_EQ(
+      service::parse_request("turnover editions=" + std::to_string(cap))
+          .editions,
+      cap);
+  try {
+    service::parse_request("turnover editions=" + std::to_string(cap + 1));
+    ADD_FAILURE() << "editions=" << cap + 1 << " was accepted";
+  } catch (const service::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("editions= wants 2.." +
+                                         std::to_string(cap)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // The rejection matrix: every malformed line raises a clean
 // ProtocolError (caught by the session loop and turned into an err
 // reply) — never a crash, never a silently-ignored key.

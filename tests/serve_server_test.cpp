@@ -240,6 +240,17 @@ TEST(ServeSession, MalformedLinesGetErrRepliesAndSessionSurvives) {
   EXPECT_EQ(by_id.at("6").payload, "pong\n");
 }
 
+TEST(ServeExecute, TurnoverAtTheEditionCapRuns) {
+  // The longest accepted history assesses cleanly: every simulated
+  // entrant's operation year passes validation (serve_protocol_test
+  // checks that one edition more is refused at parse time).
+  service::AssessmentServer server({.threads = 2});
+  const service::Reply reply = server.execute_line(
+      "turnover editions=" + std::to_string(service::kMaxTurnoverEditions),
+      "cap");
+  EXPECT_TRUE(reply.ok) << reply.payload;
+}
+
 TEST(ServeSession, OverlongLineIsRejectedNotFatal) {
   service::AssessmentServer server({.threads = 2, .max_line_bytes = 128});
   service::StringSource in("assess set=" + std::string(4096, 'x') +

@@ -78,12 +78,6 @@ void declare_flags(util::ArgParser& args) {
                 "persist the assessment memo cache across --turnover and "
                 "--sweep runs: warm-start from this snapshot file when it "
                 "exists and save it back after the run");
-  args.add_flag("batch-kernel",
-                "cache-miss fill path for --turnover/--sweep: soa "
-                "(structure-of-arrays batch kernel), scalar (per-cell "
-                "oracle), or auto (default: soa when the scenario set "
-                "averages >=2 lanes per resolved profile, else scalar); "
-                "results are byte-identical either way");
   args.add_flag("sweep",
                 "expand an axis spec into a scenario grid and assess every "
                 "derived scenario over the Nov-2024 list; e.g. "
@@ -315,19 +309,7 @@ int run_one_shot(easyc::service::AssessmentServer& server,
   return 0;
 }
 
-// "scalar" | "soa" | "auto" for --batch-kernel.
-easyc::analysis::AssessmentEngine::BatchKernel parse_batch_kernel(
-    const std::optional<std::string>& text) {
-  using BatchKernel = easyc::analysis::AssessmentEngine::BatchKernel;
-  if (!text || *text == "auto") return BatchKernel::kAuto;
-  if (*text == "scalar") return BatchKernel::kScalar;
-  if (*text == "soa") return BatchKernel::kSoa;
-  throw util::Error("--batch-kernel wants scalar, soa, or auto; got '" +
-                    *text + "'");
-}
-
-int run_turnover(int editions, const std::optional<std::string>& cache_file,
-                 const std::optional<std::string>& kernel_text) {
+int run_turnover(int editions, const std::optional<std::string>& cache_file) {
   if (editions < 2) {
     throw util::Error("--editions must be at least 2 (growth needs a cycle)");
   }
@@ -339,7 +321,6 @@ int run_turnover(int editions, const std::optional<std::string>& cache_file,
   easyc::service::ServerOptions options;
   options.admission = 1;
   options.cache_file = cache_file;
-  options.batch_kernel = parse_batch_kernel(kernel_text);
   easyc::service::AssessmentServer server(options);
   print_notes(server.warm_start());
 
@@ -465,8 +446,7 @@ int run_sweep(const std::string& axis_text, const std::string& base_name,
               const std::optional<std::string>& cells_format,
               const std::optional<std::string>& stats_text,
               std::optional<long long> sweep_records,
-              const std::optional<std::string>& refine_text,
-              const std::optional<std::string>& kernel_text) {
+              const std::optional<std::string>& refine_text) {
   easyc::service::ServerOptions options;
   if (threads) {
     if (*threads < 1) throw util::Error("--threads must be at least 1");
@@ -474,7 +454,6 @@ int run_sweep(const std::string& axis_text, const std::string& base_name,
   }
   options.admission = 1;
   options.cache_file = cache_file;
-  options.batch_kernel = parse_batch_kernel(kernel_text);
 
   easyc::service::Request request;
   request.verb = easyc::service::Verb::kSweep;
@@ -550,8 +529,7 @@ int run_shard_worker(const std::string& axis_text,
                      std::optional<long long> batch,
                      const std::optional<std::string>& cache_file,
                      const std::optional<std::string>& stats_text,
-                     std::optional<long long> sweep_records,
-                     const std::optional<std::string>& kernel_text) {
+                     std::optional<long long> sweep_records) {
   const auto ref = easyc::analysis::ShardRef::parse(shard_text);
 
   easyc::service::ServerOptions options;
@@ -561,7 +539,6 @@ int run_shard_worker(const std::string& axis_text,
   }
   options.admission = 1;
   options.cache_file = cache_file;
-  options.batch_kernel = parse_batch_kernel(kernel_text);
 
   easyc::analysis::SweepEngine::Options opt;
   if (batch) {
@@ -724,7 +701,7 @@ int main(int argc, char** argv) {
         require_only("sweep-shard",
                      {"sweep", "sweep-base", "sweep-shard", "shard-out",
                       "threads", "sweep-batch", "cache-file", "sweep-stats",
-                      "sweep-records", "batch-kernel"});
+                      "sweep-records"});
         auto out = args.get("shard-out");
         if (!out) {
           throw util::Error("--sweep-shard needs --shard-out=<partial file>");
@@ -734,8 +711,7 @@ int main(int argc, char** argv) {
                                 args.get_int("sweep-batch"),
                                 args.get("cache-file"),
                                 args.get("sweep-stats"),
-                                args.get_int("sweep-records"),
-                                args.get("batch-kernel"));
+                                args.get_int("sweep-records"));
       }
       if (auto merge = args.get("sweep-merge")) {
         require_only("sweep-merge",
@@ -749,13 +725,13 @@ int main(int argc, char** argv) {
       require_only("sweep",
                    {"sweep", "sweep-base", "threads", "sweep-batch",
                     "cache-file", "cells-out", "cells-format", "sweep-stats",
-                    "sweep-records", "sweep-refine", "batch-kernel"});
+                    "sweep-records", "sweep-refine"});
       return run_sweep(*sweep_spec, base,
                        args.get_int("threads"), args.get_int("sweep-batch"),
                        args.get("cache-file"), args.get("cells-out"),
                        args.get("cells-format"), args.get("sweep-stats"),
                        args.get_int("sweep-records"),
-                       args.get("sweep-refine"), args.get("batch-kernel"));
+                       args.get("sweep-refine"));
     }
     for (const char* sweep_only : {"sweep-base", "threads", "sweep-batch",
                                    "cells-out", "cells-format", "sweep-stats",
@@ -769,10 +745,10 @@ int main(int argc, char** argv) {
     }
     if (args.has("turnover")) {
       require_only("turnover",
-                   {"turnover", "editions", "cache-file", "batch-kernel"});
+                   {"turnover", "editions", "cache-file"});
       return run_turnover(
           static_cast<int>(args.get_double("editions").value_or(8.0)),
-          args.get("cache-file"), args.get("batch-kernel"));
+          args.get("cache-file"));
     }
     if (args.has("editions")) {
       throw util::Error("--editions applies only to --turnover runs");
@@ -780,10 +756,6 @@ int main(int argc, char** argv) {
     if (args.has("cache-file")) {
       throw util::Error(
           "--cache-file applies only to --turnover and --sweep runs");
-    }
-    if (args.has("batch-kernel")) {
-      throw util::Error(
-          "--batch-kernel applies only to --turnover and --sweep runs");
     }
     model::EasyCOptions opt;
     if (args.has("approximate-accelerators")) {

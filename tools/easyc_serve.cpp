@@ -58,16 +58,6 @@ void install_signal_handlers() {
   signal(SIGPIPE, SIG_IGN);
 }
 
-easyc::analysis::AssessmentEngine::BatchKernel parse_batch_kernel(
-    const std::optional<std::string>& text) {
-  using BatchKernel = easyc::analysis::AssessmentEngine::BatchKernel;
-  if (!text || *text == "auto") return BatchKernel::kAuto;
-  if (*text == "scalar") return BatchKernel::kScalar;
-  if (*text == "soa") return BatchKernel::kSoa;
-  throw util::Error("--batch-kernel wants scalar, soa, or auto; got '" +
-                    *text + "'");
-}
-
 void print_notes(const std::vector<std::string>& notes) {
   for (const std::string& note : notes) {
     std::fprintf(stderr, "%s\n", note.c_str());
@@ -95,8 +85,6 @@ int main(int argc, char** argv) {
   args.add_flag("cache-file",
                 "warm-start the assessment cache from this snapshot when it "
                 "exists and save it back on shutdown/SIGTERM");
-  args.add_flag("batch-kernel",
-                "cache-miss fill path: soa, scalar, or auto (default)");
   args.add_flag("cache-capacity",
                 "resident assessment bound (default 0 = unbounded)");
   args.add_flag("max-sweep-cells",
@@ -136,7 +124,6 @@ int main(int argc, char** argv) {
       options.admission = static_cast<unsigned>(*admission);
     }
     options.cache_file = args.get("cache-file");
-    options.batch_kernel = parse_batch_kernel(args.get("batch-kernel"));
     if (auto capacity = args.get_int("cache-capacity")) {
       if (*capacity < 0) {
         throw util::Error("--cache-capacity must be non-negative");
