@@ -9,7 +9,7 @@
 // stock set bounds the worst case (2.5 lanes per profile). Both arms
 // call the kernels directly, the way the engine fills its cache
 // misses: the scalar arm projects and assesses each cell through
-// EasyCModel::assess, the SoA arm projects each record once and runs
+// EasyCModel::assess_cell, the SoA arm projects each record once and runs
 // every scenario through one BatchAssessor. Both kernels are
 // byte-identical per cell (batch_kernel_test), so these numbers can
 // only disagree on time.
@@ -37,7 +37,7 @@ using easyc::analysis::ScenarioSet;
 using easyc::analysis::ScenarioSpec;
 using easyc::util::format_double;
 namespace sc = easyc::analysis::scenarios;
-using easyc::model::SystemAssessment;
+using easyc::model::CellValue;
 
 const std::vector<easyc::top500::SystemRecord>& catalog() {
   static const auto kRecords = easyc::top500::generate_records();
@@ -81,14 +81,14 @@ double seconds_of(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-using Results = std::vector<std::vector<SystemAssessment>>;
+using Results = std::vector<std::vector<CellValue>>;
 
 // One cold fill of the catalog under `set` through the scalar kernel.
 // Like the SoA arm, it projects each distinct (visibility, record)
 // once, so the two arms differ only in the kernel.
 Results assess_scalar(const ScenarioSet& set) {
   const auto& records = catalog();
-  Results out(set.size(), std::vector<SystemAssessment>(records.size()));
+  Results out(set.size(), std::vector<CellValue>(records.size()));
   std::array<std::vector<easyc::model::Inputs>,
              easyc::top500::kNumDataVisibilities>
       projections;
@@ -102,18 +102,18 @@ Results assess_scalar(const ScenarioSet& set) {
     }
     const easyc::model::EasyCModel model(spec.to_options());
     for (size_t i = 0; i < records.size(); ++i) {
-      out[s][i] = model.assess(inputs[i]);
+      out[s][i] = model.assess_cell(inputs[i]);
     }
   }
   return out;
 }
 
 // The same fill through the SoA kernel: one profile per distinct
-// (visibility, record), then each scenario as one batch of lanes.
+// (visibility, record), then every scenario's lanes in one pass.
 Results assess_soa(const ScenarioSet& set, easyc::par::ThreadPool& pool,
                    easyc::model::BatchStats* stats = nullptr) {
   const auto& records = catalog();
-  Results out(set.size(), std::vector<SystemAssessment>(records.size()));
+  Results out(set.size(), std::vector<CellValue>(records.size()));
   easyc::model::BatchAssessor batch;
   std::array<std::vector<size_t>, easyc::top500::kNumDataVisibilities> pids;
   for (const auto& spec : set.specs()) {
@@ -125,13 +125,19 @@ Results assess_soa(const ScenarioSet& set, easyc::par::ThreadPool& pool,
     }
   }
   batch.resolve_profiles(&pool);
-  std::vector<easyc::model::BatchAssessor::Cell> cells(records.size());
+  std::vector<easyc::model::EasyCOptions> options;
+  std::vector<std::vector<easyc::model::BatchAssessor::Cell>> cells(
+      set.size());
+  std::vector<easyc::model::BatchAssessor::Job> jobs;
+  for (const auto& spec : set.specs()) options.push_back(spec.to_options());
   for (size_t s = 0; s < set.size(); ++s) {
     const auto& ids = pids[static_cast<size_t>(set.specs()[s].visibility)];
-    for (size_t i = 0; i < records.size(); ++i) cells[i] = {ids[i], &out[s][i]};
-    batch.assess(set.specs()[s].to_options(), cells.data(), cells.size(),
-                 &pool);
+    for (size_t i = 0; i < records.size(); ++i) {
+      cells[s].push_back({ids[i], &out[s][i]});
+    }
+    jobs.push_back({&options[s], cells[s].data(), cells[s].size()});
   }
+  batch.assess(jobs, &pool);
   if (stats) *stats += batch.stats();
   return out;
 }

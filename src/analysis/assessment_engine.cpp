@@ -80,7 +80,7 @@ double ScenarioResults::annualized_total_mt() const {
 }
 
 CarbonSeries operational_series(
-    const std::vector<model::SystemAssessment>& assessments) {
+    const std::vector<model::CellValue>& assessments) {
   CarbonSeries out;
   out.reserve(assessments.size());
   for (const auto& a : assessments) {
@@ -92,7 +92,7 @@ CarbonSeries operational_series(
 }
 
 CarbonSeries embodied_series(
-    const std::vector<model::SystemAssessment>& assessments) {
+    const std::vector<model::CellValue>& assessments) {
   CarbonSeries out;
   out.reserve(assessments.size());
   for (const auto& a : assessments) {
@@ -206,21 +206,22 @@ void AssessmentEngine::assess_edition(
         pool, 0, scenario_indices.size() * num_records, [&](size_t cell) {
           const size_t s = scenario_indices[cell / num_records];
           const size_t i = cell % num_records;
-          model::SystemAssessment& slot = out.scenarios[s].assessments[i];
+          model::CellValue& slot = out.scenarios[s].assessments[i];
           if (cached && cache_.lookup(key(s, i), slot)) return;
-          slot = models[s].assess(
+          slot = models[s].assess_cell(
               to_inputs(records[i], scenarios.specs()[s].visibility));
           if (cached) cache_.insert(key(s, i), slot);
         });
   };
 
-  // SoA fill path: a two-pass grid. Pass 1 runs every lookup against
-  // the grid's starting cache state, which makes the miss set — and so
-  // the hit accounting — deterministic for every pool size (the scalar
-  // grid has the same property because its per-cell lookups also all
-  // precede any insert it could hit: keys within a grid are unique).
-  // The misses then batch through the kernel, one profile per distinct
-  // (visibility, record), and publish to the cache afterwards.
+  // SoA fill path: pass 1 runs every lookup against the grid's starting
+  // cache state, which makes the miss set — and so the hit accounting —
+  // deterministic for every pool size (the scalar grid has the same
+  // property because its per-cell lookups also all precede any insert
+  // it could hit: keys within a grid are unique). The misses then
+  // resolve one profile per distinct (visibility, record) and run as
+  // one kernel pass over every scenario's lanes, each task publishing
+  // the lanes it wrote.
   model::BatchAssessor batch;
   std::array<std::vector<int64_t>, top500::kNumDataVisibilities> pid;
   auto run_grid_soa = [&](const std::vector<size_t>& scenario_indices) {
@@ -234,53 +235,58 @@ void AssessmentEngine::assess_edition(
             cache_.lookup(key(s, i), out.scenarios[s].assessments[i]) ? 1 : 0;
       });
     }
-    // Serial scan keeps profile ids deterministic; projection of the
-    // distinct misses is parallel.
+    // Serial scan keeps profile ids and lane order deterministic;
+    // projection of the distinct misses is parallel.
     std::vector<std::pair<size_t, size_t>> need;  // (visibility, record)
-    for (size_t cell = 0; cell < ngrid; ++cell) {
-      if (hit[cell]) continue;
-      const size_t s = scenario_indices[cell / num_records];
-      const size_t i = cell % num_records;
-      const auto vis = static_cast<size_t>(scenarios.specs()[s].visibility);
-      if (pid[vis].empty()) pid[vis].assign(num_records, -1);
-      if (pid[vis][i] < 0) {
-        pid[vis][i] = static_cast<int64_t>(batch.num_profiles() + need.size());
-        need.emplace_back(vis, i);
-      }
-    }
-    if (!need.empty()) {
-      std::vector<model::Inputs> projected(need.size());
-      par::parallel_for(pool, 0, need.size(), [&](size_t k) {
-        projected[k] =
-            to_inputs(records[need[k].second],
-                      static_cast<top500::DataVisibility>(need[k].first));
-      });
-      for (auto& in : projected) batch.add_profile(std::move(in));
-      batch.resolve_profiles(&pool);
-    }
     std::vector<model::BatchAssessor::Cell> cells;
-    std::vector<size_t> cell_records;
+    std::vector<uint32_t> cell_records;  // parallel to `cells`
+    std::vector<model::BatchAssessor::Job> jobs;
+    std::vector<size_t> job_scenario;
+    std::vector<size_t> job_offset;
     for (size_t g = 0; g < scenario_indices.size(); ++g) {
       const size_t s = scenario_indices[g];
       const auto vis = static_cast<size_t>(scenarios.specs()[s].visibility);
-      cells.clear();
-      cell_records.clear();
+      const size_t first = cells.size();
       for (size_t i = 0; i < num_records; ++i) {
         if (hit[g * num_records + i]) continue;
+        if (pid[vis].empty()) pid[vis].assign(num_records, -1);
+        if (pid[vis][i] < 0) {
+          pid[vis][i] =
+              static_cast<int64_t>(batch.num_profiles() + need.size());
+          need.emplace_back(vis, i);
+        }
         cells.push_back({static_cast<size_t>(pid[vis][i]),
                          &out.scenarios[s].assessments[i]});
-        cell_records.push_back(i);
+        cell_records.push_back(static_cast<uint32_t>(i));
       }
-      if (cells.empty()) continue;
-      batch.assess(models[s].options(), cells.data(), cells.size(), &pool);
-      if (!cached) continue;
-      par::parallel_for(pool, 0, cells.size(), [&](size_t k) {
-        const size_t i = cell_records[k];
-        cache_.insert(key(s, i), out.scenarios[s].assessments[i]);
-      });
+      if (cells.size() == first) continue;
+      jobs.push_back({&models[s].options(), nullptr, cells.size() - first});
+      job_scenario.push_back(s);
+      job_offset.push_back(first);
     }
+    if (jobs.empty()) return;
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      jobs[j].cells = cells.data() + job_offset[j];
+    }
+    std::vector<model::Inputs> projected(need.size());
+    par::parallel_for(pool, 0, need.size(), [&](size_t k) {
+      projected[k] =
+          to_inputs(records[need[k].second],
+                    static_cast<top500::DataVisibility>(need[k].first));
+    });
+    for (auto& in : projected) batch.add_profile(std::move(in));
+    batch.resolve_profiles(&pool);
+    model::BatchAssessor::Publish publish;
+    if (cached) {
+      publish = [&](size_t j, size_t begin, size_t end) {
+        const size_t s = job_scenario[j];
+        for (size_t k = job_offset[j] + begin; k < job_offset[j] + end; ++k) {
+          cache_.insert(key(s, cell_records[k]), *cells[k].out);
+        }
+      };
+    }
+    batch.assess(jobs, &pool, publish);
   };
-
   if (use_soa_kernel(scenarios)) {
     run_grid_soa(primaries);
     if (!aliases.empty()) run_grid_soa(aliases);
@@ -320,6 +326,10 @@ std::vector<EditionAssessment> AssessmentEngine::run(
 }
 
 uint64_t AssessmentEngine::cache_scheme_tag() {
+  return cache_scheme_tag(model::kAssessmentCodecVersion);
+}
+
+uint64_t AssessmentEngine::cache_scheme_tag(uint32_t codec_version) {
   // Canaries exercise the two fingerprint schemes a cache key is built
   // from. Any change to util::Fingerprint, to the record field set
   // content_fingerprint() walks, or to the spec knobs fingerprint()
@@ -336,7 +346,7 @@ uint64_t AssessmentEngine::cache_scheme_tag() {
   return util::Fingerprint{}
       .mix_u64(canary_record.content_fingerprint())
       .mix_u64(scenarios::baseline().fingerprint())
-      .mix_u64(model::kAssessmentCodecVersion)
+      .mix_u64(codec_version)
       .mix_u64(model::kAssessmentSemanticsVersion)
       .value();
 }
@@ -347,8 +357,8 @@ void AssessmentEngine::save_cache(const std::string& path) const {
       [](util::BinaryWriter& w, const CellKey& key) {
         w.u64(key.record_fp).u64(key.scenario_fp);
       },
-      [](util::BinaryWriter& w, const model::SystemAssessment& a) {
-        model::encode_assessment(w, a);
+      [](util::BinaryWriter& w, const model::CellValue& cell) {
+        model::encode_cell(w, cell);
       });
   // Write-to-temp + rename, so a crash or full disk mid-write can only
   // lose the *update* — an existing good snapshot at `path` survives
@@ -393,7 +403,8 @@ size_t AssessmentEngine::load_cache(const std::string& path) {
         key.scenario_fp = r.u64();
         return key;
       },
-      [](util::BinaryReader& r) { return model::decode_assessment(r); });
+      [](util::BinaryReader& r) { return model::decode_cell(r); },
+      2 * sizeof(uint64_t) + model::kMinEncodedCellBytes);
 }
 
 EditionAssessment AssessmentEngine::assess(

@@ -5,7 +5,8 @@
 // assess *many* TOP500 editions, but only ~48 of 500 systems change per
 // cycle — the survivors are byte-identical apart from their rank. The
 // engine therefore flattens (edition, scenario, record) cells into
-// parallel shards and memoizes each SystemAssessment under the key
+// parallel shards and memoizes each compact model::CellValue under the
+// key
 // (record content fingerprint, scenario fingerprint) in a lock-striped
 // par::ShardedCache: a surviving system is assessed exactly once across
 // the whole history, and repeated runs over unchanged inputs are served
@@ -48,7 +49,10 @@ using CarbonSeries = std::vector<std::optional<double>>;
 
 struct ScenarioResults {
   ScenarioSpec spec;
-  std::vector<model::SystemAssessment> assessments;
+  /// One compact cell per record, rank order: numbers and failure
+  /// codes, no names or reason text (model::render_assessment of the
+  /// record's to_inputs(record, spec.visibility) adds them).
+  std::vector<model::CellValue> assessments;
   CarbonSeries operational;  ///< MT CO2e, rank order
   CarbonSeries embodied;
   CoverageCounts coverage;
@@ -62,9 +66,8 @@ struct ScenarioResults {
 
 /// Extract a CarbonSeries from assessments.
 CarbonSeries operational_series(
-    const std::vector<model::SystemAssessment>& assessments);
-CarbonSeries embodied_series(
-    const std::vector<model::SystemAssessment>& assessments);
+    const std::vector<model::CellValue>& assessments);
+CarbonSeries embodied_series(const std::vector<model::CellValue>& assessments);
 
 /// Name lookup over a scenario-results list, shared by every type that
 /// carries one (EditionAssessment, PipelineResult). `find_scenario_in`
@@ -154,10 +157,12 @@ class AssessmentEngine {
 
   /// The scheme tag snapshot files are bound to: a fingerprint over a
   /// canary record fingerprint, a canary scenario fingerprint, and the
-  /// assessment codec version. If the fingerprinting algorithm, the
-  /// fingerprinted field set, or the value codec changes shape, the
-  /// tag changes and older snapshots are rejected as stale.
+  /// assessment codec and semantics versions. If the fingerprinting
+  /// algorithm, the fingerprinted field set, or the value codec changes
+  /// shape, the tag changes and older snapshots are rejected as stale.
   static uint64_t cache_scheme_tag();
+  /// The tag under another codec version (what an older build wrote).
+  static uint64_t cache_scheme_tag(uint32_t codec_version);
 
  private:
   struct CellKey {
@@ -180,8 +185,7 @@ class AssessmentEngine {
                       const std::vector<uint64_t>& scenario_fps,
                       EditionAssessment& out);
 
-  using Cache =
-      par::ShardedCache<CellKey, model::SystemAssessment, CellKeyHash>;
+  using Cache = par::ShardedCache<CellKey, model::CellValue, CellKeyHash>;
 
   void add_batch_stats(const model::BatchStats& stats);
 

@@ -20,7 +20,7 @@ const std::vector<RankRange>& rank_ranges() {
 }
 
 CoverageCounts count_coverage(
-    const std::vector<model::SystemAssessment>& assessments) {
+    const std::vector<model::CellValue>& assessments) {
   CoverageCounts c;
   c.total = static_cast<int>(assessments.size());
   for (const auto& a : assessments) {
@@ -32,8 +32,7 @@ CoverageCounts count_coverage(
 
 std::vector<RangeCoverage> coverage_by_range(
     const std::vector<top500::SystemRecord>& records,
-    const std::vector<model::SystemAssessment>& assessments,
-    bool operational_side) {
+    const std::vector<model::CellValue>& assessments, bool operational_side) {
   EASYC_REQUIRE(records.size() == assessments.size(),
                 "records/assessments size mismatch");
   std::vector<RangeCoverage> out;

@@ -27,8 +27,7 @@ struct CoverageCounts {
 };
 
 /// Overall coverage under a set of assessments.
-CoverageCounts count_coverage(
-    const std::vector<model::SystemAssessment>& assessments);
+CoverageCounts count_coverage(const std::vector<model::CellValue>& assessments);
 
 /// Per-rank-range coverage percentage for one model side.
 struct RangeCoverage {
@@ -37,8 +36,7 @@ struct RangeCoverage {
 };
 std::vector<RangeCoverage> coverage_by_range(
     const std::vector<top500::SystemRecord>& records,
-    const std::vector<model::SystemAssessment>& assessments,
-    bool operational_side);
+    const std::vector<model::CellValue>& assessments, bool operational_side);
 
 /// Table I: per-metric incompleteness counts for a data-visibility
 /// level, using each record's disclosure mask.

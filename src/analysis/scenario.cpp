@@ -1,5 +1,6 @@
 #include "analysis/scenario.hpp"
 
+#include "parallel/algorithms.hpp"
 #include "util/error.hpp"
 #include "util/fingerprint.hpp"
 
@@ -167,16 +168,20 @@ model::EasyCOptions options_for(top500::DataVisibility visibility) {
   return paper_spec_for(visibility).to_options();
 }
 
-std::vector<model::SystemAssessment> assess_scenario(
+std::vector<model::CellValue> assess_scenario(
     const std::vector<top500::SystemRecord>& records,
     const ScenarioSpec& spec, par::ThreadPool* pool) {
-  std::vector<model::Inputs> inputs;
-  inputs.reserve(records.size());
-  for (const auto& r : records) inputs.push_back(to_inputs(r, spec.visibility));
-  return model::EasyCModel(spec.to_options()).assess_all(inputs, pool);
+  const model::EasyCModel model(spec.to_options());
+  std::vector<model::CellValue> out(records.size());
+  par::parallel_for(pool ? *pool : par::ThreadPool::global(), 0,
+                    records.size(), [&](size_t i) {
+                      out[i] = model.assess_cell(
+                          to_inputs(records[i], spec.visibility));
+                    });
+  return out;
 }
 
-std::vector<model::SystemAssessment> assess_scenario(
+std::vector<model::CellValue> assess_scenario(
     const std::vector<top500::SystemRecord>& records,
     top500::DataVisibility visibility) {
   return assess_scenario(records, paper_spec_for(visibility));

@@ -57,7 +57,7 @@ struct ScenarioSpec {
   /// Stable cache key over the spec's *assessment identity*: the
   /// visibility plus every knob that reaches to_options(). Two specs
   /// with equal fingerprints produce bit-identical per-record
-  /// SystemAssessments, so the engine's memo table may serve one's
+  /// assessments, so the engine's memo table may serve one's
   /// results to the other. name/description (presentation) and
   /// service_years (applied after assessment, in annualized totals)
   /// are deliberately excluded.
@@ -124,12 +124,12 @@ model::EasyCOptions options_for(top500::DataVisibility visibility);
 
 /// Assess every record under a scenario (visibility projection + model,
 /// parallel over `pool`, or the process-global pool when null).
-std::vector<model::SystemAssessment> assess_scenario(
+std::vector<model::CellValue> assess_scenario(
     const std::vector<top500::SystemRecord>& records,
     const ScenarioSpec& spec, par::ThreadPool* pool = nullptr);
 
 /// Compatibility shim: assess under the paper scenario for a visibility.
-std::vector<model::SystemAssessment> assess_scenario(
+std::vector<model::CellValue> assess_scenario(
     const std::vector<top500::SystemRecord>& records,
     top500::DataVisibility visibility);
 

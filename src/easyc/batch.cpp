@@ -38,12 +38,12 @@ EnergyPath to_energy_path(OperationalResolution::Path p) {
 // widening changes no bytes.
 struct Workspace {
   // operational
-  std::vector<uint8_t> op_ok, aci_valid, refined;
+  std::vector<uint8_t> op_codes, refined;
   std::vector<double> metered, reported;
   std::vector<double> base, util, aci, it_kw, pue, annual, op_mt;
   std::vector<int> year;
   // embodied
-  std::vector<uint8_t> emb_ok, mem_default, used_proxy;
+  std::vector<uint8_t> emb_codes, mem_default, used_proxy;
   std::vector<double> gpu_active, ssd_default;
   std::vector<double> cpu_area, cpu_epa, cpu_gpa, cpu_mpa, cpu_yield, cpus_d;
   std::vector<double> gpu_area, gpu_epa, gpu_gpa, gpu_mpa, gpu_yield, gpu_hbm,
@@ -52,15 +52,43 @@ struct Workspace {
   std::vector<double> cpu_mt, gpu_mt, mem_mt, sto_mt, plat_mt, ic_mt, tot_mt;
 
   explicit Workspace(size_t n)
-      : op_ok(n), aci_valid(n), refined(n), metered(n), reported(n), base(n),
-        util(n), aci(n), it_kw(n), pue(n), annual(n), op_mt(n), year(n),
-        emb_ok(n), mem_default(n), used_proxy(n), gpu_active(n),
-        ssd_default(n), cpu_area(n), cpu_epa(n), cpu_gpa(n), cpu_mpa(n),
-        cpu_yield(n), cpus_d(n), gpu_area(n), gpu_epa(n), gpu_gpa(n),
-        gpu_mpa(n), gpu_yield(n), gpu_hbm(n), gpus_d(n), mem_gb(n), mem_kg(n),
-        ssd_tb(n), nodes_d(n), cores_pn(n), gpus_pn(n), cpu_mt(n), gpu_mt(n),
-        mem_mt(n), sto_mt(n), plat_mt(n), ic_mt(n), tot_mt(n) {}
+      : op_codes(n), refined(n), metered(n), reported(n), base(n), util(n),
+        aci(n), it_kw(n), pue(n), annual(n), op_mt(n), year(n), emb_codes(n),
+        mem_default(n), used_proxy(n), gpu_active(n), ssd_default(n),
+        cpu_area(n), cpu_epa(n), cpu_gpa(n), cpu_mpa(n), cpu_yield(n),
+        cpus_d(n), gpu_area(n), gpu_epa(n), gpu_gpa(n), gpu_mpa(n),
+        gpu_yield(n), gpu_hbm(n), gpus_d(n), mem_gb(n), mem_kg(n), ssd_tb(n),
+        nodes_d(n), cores_pn(n), gpus_pn(n), cpu_mt(n), gpu_mt(n), mem_mt(n),
+        sto_mt(n), plat_mt(n), ic_mt(n), tot_mt(n) {}
+
+  /// Benign accelerator inputs for a lane without one.
+  void clear_gpu(size_t l) {
+    gpu_active[l] = 0.0;
+    gpu_area[l] = gpu_epa[l] = gpu_gpa[l] = gpu_mpa[l] = 0.0;
+    gpu_hbm[l] = gpus_d[l] = 0.0;
+    gpu_yield[l] = 1.0;
+  }
+
+  /// Benign embodied inputs for a failed lane, so the vector loops stay
+  /// exception- and NaN-free (the lane's results are never read).
+  void clear_embodied(size_t l) {
+    clear_gpu(l);
+    mem_default[l] = used_proxy[l] = 0;
+    ssd_default[l] = 0.0;
+    cpu_area[l] = cpu_epa[l] = cpu_gpa[l] = cpu_mpa[l] = cpus_d[l] = 0.0;
+    cpu_yield[l] = 1.0;
+    mem_gb[l] = mem_kg[l] = ssd_tb[l] = cores_pn[l] = gpus_pn[l] = 0.0;
+    nodes_d[l] = 1.0;
+  }
 };
+
+// Each pool thread keeps one chunk-sized workspace for the life of the
+// thread: a chunk overwrites every lane it reads, so reuse is exact
+// and the kernel allocates nothing per chunk.
+Workspace& chunk_workspace() {
+  thread_local Workspace w(kLanesPerChunk);
+  return w;
+}
 
 }  // namespace
 
@@ -100,65 +128,77 @@ void BatchAssessor::resolve_profiles(par::ThreadPool* pool) {
   resolved_ = end;
 }
 
-void BatchAssessor::ensure_aci_table(const grid::AciDatabase* db) {
-  if (aci_table_db_ != db) {
-    aci_table_.clear();
-    aci_table_db_ = db;
-  }
-  const size_t old = aci_table_.size();
-  if (old >= aci_pairs_.size()) return;
-  aci_table_.resize(aci_pairs_.size());
-  for (size_t k = old; k < aci_pairs_.size(); ++k) {
+size_t BatchAssessor::ensure_aci_table(const grid::AciDatabase* db) {
+  size_t t = 0;
+  while (t < aci_tables_.size() && aci_tables_[t].db != db) ++t;
+  if (t == aci_tables_.size()) aci_tables_.push_back({db, {}});
+  std::vector<AciEntry>& table = aci_tables_[t].entries;
+  for (size_t k = table.size(); k < aci_pairs_.size(); ++k) {
     const auto& [country, region] = aci_pairs_[k];
     AciEntry e;
     const auto best = db->best_aci(country, region);
     e.valid = best.has_value();
     e.aci_g_kwh = best.value_or(0.0);
     e.region_refined = db->region_aci(country, region).has_value();
-    aci_table_[k] = e;
+    table.push_back(e);
     stats_.aci_db_queries += 2;
   }
+  return t;
 }
 
-void BatchAssessor::assess(const EasyCOptions& options, const Cell* cells,
-                           size_t count, par::ThreadPool* pool) {
-  if (count == 0) return;
-  const auto& oo = options.operational;
-  // Once per batch, not once per cell — same REQUIREs, same messages,
-  // as the scalar path would raise on its first cell.
-  EASYC_REQUIRE(oo.aci != nullptr, "options.aci must not be null");
-  EASYC_REQUIRE(oo.default_utilization > 0.0 &&
-                    oo.default_utilization <= 1.0,
-                "default utilization must be in (0,1]");
-
-  const bool aci_overridden = oo.aci_override_g_kwh.has_value();
-  const double aci_override = oo.aci_override_g_kwh.value_or(0.0);
-  if (!aci_overridden) ensure_aci_table(oo.aci);
-
-  stats_.lanes += count;
-  if (!aci_overridden) stats_.aci_hoisted += count;
-
-  const size_t nchunks = (count + kLanesPerChunk - 1) / kLanesPerChunk;
-  par::parallel_for(pool ? *pool : par::ThreadPool::global(), 0, nchunks,
-                    [&](size_t c) {
-                      const size_t lo = c * kLanesPerChunk;
-                      const size_t hi =
-                          std::min(count, lo + kLanesPerChunk);
-                      assess_chunk(options, cells, lo, hi, aci_overridden,
-                                   aci_override);
-                    });
+void BatchAssessor::assess(const std::vector<Job>& jobs,
+                           par::ThreadPool* pool, const Publish& publish) {
+  // Once per job, not once per cell — same REQUIREs, same messages, as
+  // the scalar path would raise on its first cell — and all before any
+  // lane runs. The ACI tables fill here too, serially.
+  constexpr size_t kOverridden = static_cast<size_t>(-1);
+  std::vector<size_t> table_of(jobs.size(), kOverridden);
+  struct Task {
+    size_t job, begin, end;
+  };
+  std::vector<Task> tasks;
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    const Job& job = jobs[j];
+    if (job.count == 0) continue;
+    const auto& oo = job.options->operational;
+    EASYC_REQUIRE(oo.aci != nullptr, "options.aci must not be null");
+    EASYC_REQUIRE(oo.default_utilization > 0.0 &&
+                      oo.default_utilization <= 1.0,
+                  "default utilization must be in (0,1]");
+    stats_.lanes += job.count;
+    if (!oo.aci_override_g_kwh) {
+      table_of[j] = ensure_aci_table(oo.aci);
+      stats_.aci_hoisted += job.count;
+    }
+    for (size_t lo = 0; lo < job.count; lo += kLanesPerChunk) {
+      tasks.push_back({j, lo, std::min(job.count, lo + kLanesPerChunk)});
+    }
+  }
+  // A block's pass can be long; interleaving keeps other callers of a
+  // shared pool (a daemon's interactive requests) from queueing behind
+  // all of it.
+  par::parallel_for_interleaved(
+      pool ? *pool : par::ThreadPool::global(), 0, tasks.size(),
+      [&](size_t t) {
+        const Task& task = tasks[t];
+        const Job& job = jobs[task.job];
+        const size_t table = table_of[task.job];
+        assess_chunk(*job.options, job.cells, task.begin, task.end,
+                     table == kOverridden
+                         ? nullptr
+                         : aci_tables_[table].entries.data());
+        if (publish) publish(task.job, task.begin, task.end);
+      });
 }
 
 void BatchAssessor::assess_chunk(const EasyCOptions& options,
                                  const Cell* cells, size_t begin, size_t end,
-                                 bool aci_overridden,
-                                 double aci_override) const {
+                                 const AciEntry* aci_table) const {
   const size_t n = end - begin;
-  Workspace w(n);
+  Workspace& w = chunk_workspace();
   const auto& oo = options.operational;
   const auto& eo = options.embodied;
-  const bool approx = eo.accelerator_policy ==
-                      AcceleratorPolicy::kApproximateWithMainstreamGpu;
+  const double aci_override = oo.aci_override_g_kwh.value_or(0.0);
   using Path = OperationalResolution::Path;
 
   // ---- gather: branchy per-lane resolution into the SoA buffers ----
@@ -172,54 +212,44 @@ void BatchAssessor::assess_chunk(const EasyCOptions& options,
     w.year[l] = p.op.year;
     w.util[l] =
         p.op.has_utilization ? p.op.utilization : oo.default_utilization;
-    if (aci_overridden) {
-      w.aci_valid[l] = 1;
+    bool aci_valid = true;
+    if (aci_table == nullptr) {
       w.aci[l] = aci_override;
       w.refined[l] = 0;
     } else {
-      const AciEntry& e = aci_table_[p.aci_key];
-      w.aci_valid[l] = e.valid;
+      const AciEntry& e = aci_table[p.aci_key];
+      aci_valid = e.valid;
       w.aci[l] = e.aci_g_kwh;
       w.refined[l] = e.region_refined;
     }
-    w.op_ok[l] = w.aci_valid[l] && p.op.path != Path::kNone;
+    w.op_codes[l] =
+        static_cast<uint8_t>((aci_valid ? 0 : reason::kNoGridIntensity) |
+                             (p.op.path == Path::kNone ? reason::kNoEnergyPath
+                                                       : 0));
 
-    // embodied: validity mask + coefficients (benign values in failed
+    // embodied: failure codes + coefficients (benign values in failed
     // lanes so the vector loops stay exception- and NaN-free).
     const EmbodiedResolution& e = p.emb;
-    bool ok = e.has_cpu && e.has_counts;
-    uint8_t proxy = 0;
-    if (e.accelerated) {
-      if (!e.acc_in_catalog) {
-        if (approx) {
-          proxy = 1;
-        } else {
-          ok = false;
-        }
-      }
-      if (!e.has_gpu_count) ok = false;
-    }
-    w.emb_ok[l] = ok;
-    w.used_proxy[l] = proxy;
-    if (ok) {
+    w.emb_codes[l] = embodied_failure_codes(e, eo.accelerator_policy);
+    if (w.emb_codes[l] == 0) {
       // REQUIRE parity with ProcessNode::carbon_per_cm2, which the
       // scalar path calls per success lane.
       EASYC_REQUIRE(eo.fab_aci_kg_kwh >= 0.0, "fab ACI must be non-negative");
       EASYC_REQUIRE(e.cpu_node.yield > 0.0 && e.cpu_node.yield <= 1.0,
                     "yield must be in (0,1]");
+      w.used_proxy[l] = e.accelerated && !e.acc_in_catalog;
       w.cpu_area[l] = e.cpu_die_area_cm2;
       w.cpu_epa[l] = e.cpu_node.epa_kwh_cm2;
       w.cpu_gpa[l] = e.cpu_node.gpa_kg_cm2;
       w.cpu_mpa[l] = e.cpu_node.mpa_kg_cm2;
       w.cpu_yield[l] = e.cpu_node.yield;
       w.cpus_d[l] = static_cast<double>(e.cpus);
-      const bool gpu = e.accelerated && e.gpu_count > 0;
-      w.gpu_active[l] = gpu;
-      if (gpu) {
+      if (e.accelerated && e.gpu_count > 0) {
         const hw::ProcessNode& gn = e.acc_in_catalog ? e.acc_node
                                                      : e.proxy_node;
         EASYC_REQUIRE(gn.yield > 0.0 && gn.yield <= 1.0,
                       "yield must be in (0,1]");
+        w.gpu_active[l] = 1.0;
         w.gpu_area[l] =
             e.acc_in_catalog ? e.acc_die_area_cm2 : e.proxy_die_area_cm2;
         w.gpu_epa[l] = gn.epa_kwh_cm2;
@@ -229,7 +259,7 @@ void BatchAssessor::assess_chunk(const EasyCOptions& options,
         w.gpu_hbm[l] = e.acc_in_catalog ? e.acc_hbm_kg : e.proxy_hbm_kg;
         w.gpus_d[l] = static_cast<double>(e.gpu_count);
       } else {
-        w.gpu_yield[l] = 1.0;
+        w.clear_gpu(l);
       }
       w.mem_default[l] = !e.has_memory_gb;
       w.mem_gb[l] = e.has_memory_gb ? e.memory_gb : e.default_memory_gb;
@@ -240,9 +270,7 @@ void BatchAssessor::assess_chunk(const EasyCOptions& options,
       w.cores_pn[l] = e.cpu_cores_per_node;
       w.gpus_pn[l] = e.gpus_per_node;
     } else {
-      w.cpu_yield[l] = 1.0;
-      w.gpu_yield[l] = 1.0;
-      w.nodes_d[l] = 1.0;
+      w.clear_embodied(l);
     }
   }
 
@@ -330,14 +358,13 @@ void BatchAssessor::assess_chunk(const EasyCOptions& options,
                                 w.sto_mt[l], w.plat_mt[l], w.ic_mt[l]);
   }
 
-  // ---- scatter: masked lanes reproduce the scalar failure reasons in
-  // the scalar order; success lanes copy the vector-core doubles ----
+  // ---- scatter: failed lanes carry their reason codes; success lanes
+  // copy the vector-core doubles ----
   for (size_t l = 0; l < n; ++l) {
     const Profile& p = profiles_[cells[begin + l].profile];
-    SystemAssessment& out = *cells[begin + l].out;
-    out.name = p.inputs.name;
+    CellValue& out = *cells[begin + l].out;
 
-    if (w.op_ok[l]) {
+    if (w.op_codes[l] == 0) {
       OperationalResult r;
       r.mt_co2e = w.op_mt[l];
       r.annual_kwh = w.annual[l];
@@ -347,19 +374,12 @@ void BatchAssessor::assess_chunk(const EasyCOptions& options,
       r.aci_region_refined = w.refined[l];
       r.path = to_energy_path(p.op.path);
       r.utilization = w.util[l];
-      out.operational = Outcome<OperationalResult>::success(r);
+      out.operational = CellOutcome<OperationalResult>::success(r);
     } else {
-      std::vector<std::string> reasons;
-      if (!w.aci_valid[l]) reasons.push_back(p.op.aci_missing_reason);
-      if (p.op.path == Path::kNone) {
-        reasons.push_back(
-            "no energy path: power not reported and component counts "
-            "insufficient for a roll-up");
-      }
-      out.operational = Outcome<OperationalResult>::failure(std::move(reasons));
+      out.operational = CellOutcome<OperationalResult>::failure(w.op_codes[l]);
     }
 
-    if (w.emb_ok[l]) {
+    if (w.emb_codes[l] == 0) {
       EmbodiedBreakdown b;
       b.cpu_mt = w.cpu_mt[l];
       b.gpu_mt = w.gpu_mt[l];
@@ -371,27 +391,9 @@ void BatchAssessor::assess_chunk(const EasyCOptions& options,
       b.used_gpu_proxy = w.used_proxy[l];
       b.used_memory_default = w.mem_default[l];
       b.used_storage_default = w.ssd_default[l] != 0.0;
-      out.embodied = Outcome<EmbodiedBreakdown>::success(b);
+      out.embodied = CellOutcome<EmbodiedBreakdown>::success(b);
     } else {
-      const EmbodiedResolution& e = p.emb;
-      std::vector<std::string> reasons;
-      if (!e.has_cpu) reasons.push_back(e.cpu_missing_reason);
-      if (!e.has_counts) {
-        reasons.push_back(
-            "cannot resolve node/CPU counts (need # nodes, or total cores + "
-            "known CPU model)");
-      }
-      if (e.accelerated) {
-        if (!e.acc_in_catalog && !approx) {
-          reasons.push_back(e.acc_unknown_reason);
-        }
-        if (!e.has_gpu_count) {
-          reasons.push_back(
-              "accelerated system without a GPU count: embodied carbon not "
-              "estimable");
-        }
-      }
-      out.embodied = Outcome<EmbodiedBreakdown>::failure(std::move(reasons));
+      out.embodied = CellOutcome<EmbodiedBreakdown>::failure(w.emb_codes[l]);
     }
   }
 }
@@ -401,8 +403,7 @@ void BatchAssessor::clear() {
   resolved_ = 0;
   aci_key_by_pair_.clear();
   aci_pairs_.clear();
-  aci_table_db_ = nullptr;
-  aci_table_.clear();
+  aci_tables_.clear();
 }
 
 }  // namespace easyc::model

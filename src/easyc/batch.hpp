@@ -15,8 +15,13 @@
 //   3. vector core + scatter: the arithmetic (energy roll-up,
 //      operational CO2e, embodied amortization) runs as contiguous
 //      plain indexed loops the compiler auto-vectorizes, then results
-//      scatter back into per-cell Outcomes, masked lanes reproducing
-//      the scalar failure reasons in the scalar order.
+//      scatter straight into per-cell CellValues, masked lanes carrying
+//      the scalar path's failure-reason codes.
+//
+// A pass takes every scenario of a block at once: its tasks are the
+// (scenario, chunk) pairs, run as one parallel loop, and each task can
+// hand its finished lanes to a publish callback (the engine's cache
+// insert) before the next task starts on that thread.
 //
 // Bit-identity guarantee: both paths call the exact inline lane
 // functions in operational.hpp / embodied.hpp (namespace lane) and
@@ -33,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,8 +81,20 @@ class BatchAssessor {
   /// thread count produces identical bytes.
   struct Cell {
     size_t profile = 0;
-    SystemAssessment* out = nullptr;
+    CellValue* out = nullptr;
   };
+
+  /// One scenario's lanes within a pass.
+  struct Job {
+    const EasyCOptions* options = nullptr;
+    const Cell* cells = nullptr;
+    size_t count = 0;
+  };
+
+  /// Called by the task that just filled lanes [begin, end) of
+  /// jobs[job], on that task's pool thread — concurrently with other
+  /// tasks' calls, so it must be thread-safe.
+  using Publish = std::function<void(size_t job, size_t begin, size_t end)>;
 
   /// Register a distinct record's inputs; returns its profile id.
   /// Callers dedupe (the engine keys profiles by content fingerprint
@@ -89,10 +107,13 @@ class BatchAssessor {
   /// process-global pool).
   void resolve_profiles(par::ThreadPool* pool = nullptr);
 
-  /// Assess `count` cells under one scenario's options. Profiles must
-  /// be resolved. Matches EasyCModel::assess byte-for-byte per lane.
-  void assess(const EasyCOptions& options, const Cell* cells, size_t count,
-              par::ThreadPool* pool = nullptr);
+  /// Assess every job's lanes in one parallel pass over (job, chunk)
+  /// tasks; `publish` (optional) sees each chunk as soon as it is
+  /// written. Profiles must be resolved. Every lane matches
+  /// EasyCModel::assess_cell byte-for-byte. Each job's options are
+  /// checked before any lane runs.
+  void assess(const std::vector<Job>& jobs, par::ThreadPool* pool = nullptr,
+              const Publish& publish = nullptr);
 
   size_t num_profiles() const { return profiles_.size(); }
   const Inputs& profile_inputs(size_t id) const {
@@ -102,7 +123,7 @@ class BatchAssessor {
   const BatchStats& stats() const { return stats_; }
   void reset_stats() { stats_ = BatchStats{}; }
 
-  /// Drop all profiles (and the ACI table) for a fresh batch.
+  /// Drop all profiles (and the ACI tables) for a fresh batch.
   void clear();
 
  private:
@@ -119,19 +140,26 @@ class BatchAssessor {
     bool region_refined = false;  ///< region_aci had a refinement
   };
 
-  void ensure_aci_table(const grid::AciDatabase* db);
+  /// The per-batch ACI table of one database, indexed by aci_key.
+  struct AciTable {
+    const grid::AciDatabase* db = nullptr;
+    std::vector<AciEntry> entries;
+  };
+
+  /// Fill `db`'s table for every registered (country, region) pair;
+  /// returns its index in aci_tables_.
+  size_t ensure_aci_table(const grid::AciDatabase* db);
+  /// `aci` is the job's table, or null when its options override ACI.
   void assess_chunk(const EasyCOptions& options, const Cell* cells,
-                    size_t begin, size_t end, bool aci_overridden,
-                    double aci_override) const;
+                    size_t begin, size_t end, const AciEntry* aci) const;
 
   std::vector<Profile> profiles_;
   size_t resolved_ = 0;  ///< profiles_[0..resolved_) are resolved
 
-  // Distinct (country, region) -> aci_key, and the per-batch table.
+  // Distinct (country, region) -> aci_key, and the per-batch tables.
   std::unordered_map<std::string, uint32_t> aci_key_by_pair_;
   std::vector<std::pair<std::string, std::string>> aci_pairs_;
-  const grid::AciDatabase* aci_table_db_ = nullptr;
-  std::vector<AciEntry> aci_table_;
+  std::vector<AciTable> aci_tables_;
 
   BatchStats stats_;
 };

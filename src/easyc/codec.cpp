@@ -1,5 +1,7 @@
 #include "easyc/codec.hpp"
 
+#include <string>
+
 namespace easyc::model {
 
 namespace {
@@ -61,20 +63,45 @@ EmbodiedBreakdown decode_embodied(util::BinaryReader& r) {
   return out;
 }
 
-}  // namespace
-
-void encode_assessment(util::BinaryWriter& w, const SystemAssessment& a) {
-  w.str(a.name);
-  encode_outcome(w, a.operational, encode_operational);
-  encode_outcome(w, a.embodied, encode_embodied);
+template <typename T, typename EncodeValue>
+void encode_side(util::BinaryWriter& w, const CellOutcome<T>& side,
+                 EncodeValue&& value) {
+  w.boolean(side.ok()).u8(side.codes);
+  if (side.ok()) value(w, side.result);
 }
 
-SystemAssessment decode_assessment(util::BinaryReader& r) {
-  SystemAssessment out;
-  out.name = r.str();
-  out.operational =
-      decode_outcome<OperationalResult>(r, decode_operational);
-  out.embodied = decode_outcome<EmbodiedBreakdown>(r, decode_embodied);
+template <typename T, typename DecodeValue>
+CellOutcome<T> decode_side(util::BinaryReader& r, uint8_t defined_codes,
+                           const char* side_name, DecodeValue&& value) {
+  const bool ok = r.boolean();
+  const uint8_t codes = r.u8();
+  if ((codes & ~defined_codes) != 0) {
+    throw util::CodecError(std::string(side_name) + " reason codes " +
+                           std::to_string(codes) +
+                           " set bits the side does not define");
+  }
+  if (ok != (codes == 0)) {
+    throw util::CodecError(std::string(side_name) + " ok flag " +
+                           (ok ? "set" : "clear") +
+                           " contradicts its reason codes");
+  }
+  if (!ok) return CellOutcome<T>::failure(codes);
+  return CellOutcome<T>::success(value(r));
+}
+
+}  // namespace
+
+void encode_cell(util::BinaryWriter& w, const CellValue& cell) {
+  encode_side(w, cell.operational, encode_operational);
+  encode_side(w, cell.embodied, encode_embodied);
+}
+
+CellValue decode_cell(util::BinaryReader& r) {
+  CellValue out;
+  out.operational = decode_side<OperationalResult>(
+      r, reason::kOperationalCodes, "operational", decode_operational);
+  out.embodied = decode_side<EmbodiedBreakdown>(
+      r, reason::kEmbodiedCodes, "embodied", decode_embodied);
   return out;
 }
 

@@ -1,6 +1,6 @@
-// Binary codec for assessment results (the cache-snapshot value type).
+// Binary codec for memo cells (the cache-snapshot value type).
 //
-// The engine's memo cache persists SystemAssessments to disk so later
+// The engine's memo cache persists CellValues to disk so later
 // processes warm-start instead of recomputing. The codec writes every
 // field explicitly through util::BinaryWriter — no struct memcpy — so
 // the bytes are stable across platforms, and it carries its own version
@@ -8,18 +8,25 @@
 // scheme tag: adding or reordering a field here must bump the version,
 // which invalidates old snapshot files instead of misreading them.
 //
-// Outcome<T> is encoded as its ok flag followed by either the value or
-// the non-empty reason list, so coverage failures — a first-class paper
-// result — round-trip exactly like successes.
+// Each side of a cell is encoded as its ok flag and its reason-code
+// byte, followed by the result only when ok, so coverage failures — a
+// first-class paper result — round-trip exactly like successes. The
+// decoder rejects what no encoder writes: an ok flag that contradicts
+// the codes, code bits the side does not define, an energy path outside
+// the enum.
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
 
 #include "easyc/model.hpp"
 #include "util/serialize.hpp"
 
 namespace easyc::model {
 
-/// Bump whenever any encode_/decode_ pair below changes shape.
-inline constexpr uint32_t kAssessmentCodecVersion = 1;
+/// Bump whenever encode_cell/decode_cell changes shape. Version 1
+/// encoded the whole SystemAssessment (name and reason strings).
+inline constexpr uint32_t kAssessmentCodecVersion = 2;
 
 /// Bump whenever assessment *semantics* change — emission factors,
 /// option defaults, estimation-path logic, anything that makes the
@@ -30,44 +37,19 @@ inline constexpr uint32_t kAssessmentCodecVersion = 1;
 ///
 /// The SoA batch kernel (model::BatchAssessor) is NOT a semantics
 /// change: it must stay byte-identical to the scalar path
-/// (batch_kernel_test enforces this through these codec bytes). Any
-/// kernel change that alters even one output bit is a model change
-/// and must bump this version — never ship it as "just the kernel".
+/// (batch_kernel_test enforces this). Any kernel change that alters
+/// even one output bit is a model change and must bump this version —
+/// never ship it as "just the kernel".
 inline constexpr uint32_t kAssessmentSemanticsVersion = 1;
 
-void encode_assessment(util::BinaryWriter& w, const SystemAssessment& a);
-SystemAssessment decode_assessment(util::BinaryReader& r);
+/// The fewest bytes encode_cell writes: two failed sides, each an ok
+/// flag and a code byte.
+inline constexpr size_t kMinEncodedCellBytes = 4;
 
-/// Generic Outcome<T> codec; `value` encodes/decodes the success type.
-template <typename T, typename EncodeValue>
-void encode_outcome(util::BinaryWriter& w, const Outcome<T>& o,
-                    EncodeValue&& value) {
-  w.boolean(o.ok());
-  if (o.ok()) {
-    value(w, o.value());
-    return;
-  }
-  w.u64(o.reasons().size());
-  for (const std::string& reason : o.reasons()) w.str(reason);
-}
+void encode_cell(util::BinaryWriter& w, const CellValue& cell);
 
-template <typename T, typename DecodeValue>
-Outcome<T> decode_outcome(util::BinaryReader& r, DecodeValue&& value) {
-  if (r.boolean()) return Outcome<T>::success(value(r));
-  const uint64_t n = r.u64();
-  if (n == 0) throw util::CodecError("failure Outcome with no reasons");
-  // Bound the count by the bytes that could possibly back it (each
-  // reason carries at least its u64 length prefix) before reserving,
-  // so a corrupt count raises CodecError, not length_error/bad_alloc.
-  if (n > r.remaining() / 8) {
-    throw util::CodecError("failure Outcome claims " + std::to_string(n) +
-                           " reasons but only " +
-                           std::to_string(r.remaining()) + " bytes remain");
-  }
-  std::vector<std::string> reasons;
-  reasons.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) reasons.push_back(r.str());
-  return Outcome<T>::failure(std::move(reasons));
-}
+/// Throws util::CodecError on truncation or on any byte pattern
+/// encode_cell cannot produce.
+CellValue decode_cell(util::BinaryReader& r);
 
 }  // namespace easyc::model

@@ -81,10 +81,6 @@ EmbodiedResolution resolve_embodied(const Inputs& in) {
   if (rz.has_cpu) {
     rz.cpu_die_area_cm2 = cpu->die_area_cm2;
     rz.cpu_node = hw::find_process_node(cpu->process_nm);
-  } else {
-    rz.cpu_missing_reason = "processor '" + in.processor +
-                            "' not in catalog and not a mainstream family "
-                            "derivable from counts";
   }
 
   // --- node / package counts ---
@@ -112,8 +108,6 @@ EmbodiedResolution resolve_embodied(const Inputs& in) {
       rz.proxy_node = hw::find_process_node(proxy.process_nm);
       rz.proxy_hbm_kg =
           proxy.hbm_gb * hw::memory_spec(proxy.hbm_type).embodied_kg_per_gb;
-      rz.acc_unknown_reason = "accelerator '" + in.accelerator +
-                              "' not in catalog (strict policy declines)";
     }
     rz.has_gpu_count = in.num_gpus.has_value();
     if (rz.has_gpu_count) rz.gpu_count = *in.num_gpus;
@@ -143,35 +137,51 @@ EmbodiedResolution resolve_embodied(const Inputs& in) {
   return rz;
 }
 
-Outcome<EmbodiedBreakdown> finish_embodied(const EmbodiedResolution& rz,
-                                           const EmbodiedOptions& opt) {
-  std::vector<std::string> reasons;
-  if (!rz.has_cpu) reasons.push_back(rz.cpu_missing_reason);
-  if (!rz.has_counts) {
-    reasons.push_back(
+uint8_t embodied_failure_codes(const EmbodiedResolution& rz,
+                               AcceleratorPolicy policy) {
+  uint8_t codes = 0;
+  if (!rz.has_cpu) codes |= reason::kUnknownCpu;
+  if (!rz.has_counts) codes |= reason::kNoCounts;
+  if (rz.accelerated) {
+    if (!rz.acc_in_catalog &&
+        policy != AcceleratorPolicy::kApproximateWithMainstreamGpu) {
+      codes |= reason::kUnknownAccelerator;
+    }
+    if (!rz.has_gpu_count) codes |= reason::kNoGpuCount;
+  }
+  return codes;
+}
+
+std::vector<std::string> embodied_reason_text(uint8_t codes,
+                                              const Inputs& in) {
+  std::vector<std::string> text;
+  if (codes & reason::kUnknownCpu) {
+    text.push_back("processor '" + in.processor +
+                   "' not in catalog and not a mainstream family "
+                   "derivable from counts");
+  }
+  if (codes & reason::kNoCounts) {
+    text.push_back(
         "cannot resolve node/CPU counts (need # nodes, or total cores + "
         "known CPU model)");
   }
-  bool used_proxy = false;
-  if (rz.accelerated) {
-    if (!rz.acc_in_catalog) {
-      if (opt.accelerator_policy ==
-          AcceleratorPolicy::kApproximateWithMainstreamGpu) {
-        used_proxy = true;
-      } else {
-        reasons.push_back(rz.acc_unknown_reason);
-      }
-    }
-    if (!rz.has_gpu_count) {
-      reasons.push_back(
-          "accelerated system without a GPU count: embodied carbon not "
-          "estimable");
-    }
+  if (codes & reason::kUnknownAccelerator) {
+    text.push_back("accelerator '" + in.accelerator +
+                   "' not in catalog (strict policy declines)");
   }
+  if (codes & reason::kNoGpuCount) {
+    text.push_back(
+        "accelerated system without a GPU count: embodied carbon not "
+        "estimable");
+  }
+  return text;
+}
 
-  if (!reasons.empty()) {
-    return Outcome<EmbodiedBreakdown>::failure(std::move(reasons));
-  }
+CellOutcome<EmbodiedBreakdown> finish_embodied(const EmbodiedResolution& rz,
+                                               const EmbodiedOptions& opt) {
+  const uint8_t codes = embodied_failure_codes(rz, opt.accelerator_policy);
+  if (codes != 0) return CellOutcome<EmbodiedBreakdown>::failure(codes);
+  const bool used_proxy = rz.accelerated && !rz.acc_in_catalog;
 
   EmbodiedBreakdown b;
   b.used_gpu_proxy = used_proxy;
@@ -238,12 +248,18 @@ Outcome<EmbodiedBreakdown> finish_embodied(const EmbodiedResolution& rz,
   b.total_mt = lane::embodied_total_mt(b.cpu_mt, b.gpu_mt, b.memory_mt,
                                        b.storage_mt, b.platform_mt,
                                        b.interconnect_mt);
-  return Outcome<EmbodiedBreakdown>::success(b);
+  return CellOutcome<EmbodiedBreakdown>::success(b);
+}
+
+CellOutcome<EmbodiedBreakdown> assess_embodied_cell(
+    const Inputs& in, const EmbodiedOptions& opt) {
+  return finish_embodied(resolve_embodied(in), opt);
 }
 
 Outcome<EmbodiedBreakdown> assess_embodied_prevalidated(
     const Inputs& in, const EmbodiedOptions& opt) {
-  return finish_embodied(resolve_embodied(in), opt);
+  const auto cell = assess_embodied_cell(in, opt);
+  return cell.render(embodied_reason_text(cell.codes, in));
 }
 
 Outcome<EmbodiedBreakdown> assess_embodied(const Inputs& in,

@@ -15,7 +15,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "easyc/inputs.hpp"
 #include "easyc/outcome.hpp"
@@ -124,6 +126,22 @@ struct EmbodiedOptions {
   double default_ssd_cap_tb = 40000.0;
 };
 
+/// Embodied failure-reason codes (CellOutcome<EmbodiedBreakdown> bits),
+/// in the order their text is reported.
+namespace reason {
+inline constexpr uint8_t kUnknownCpu = 1u << 0;
+inline constexpr uint8_t kNoCounts = 1u << 1;
+inline constexpr uint8_t kUnknownAccelerator = 1u << 2;
+inline constexpr uint8_t kNoGpuCount = 1u << 3;
+inline constexpr uint8_t kEmbodiedCodes =
+    kUnknownCpu | kNoCounts | kUnknownAccelerator | kNoGpuCount;
+}  // namespace reason
+
+/// The text of embodied failure `codes` for a system, in the order the
+/// codes are declared (empty for 0).
+std::vector<std::string> embodied_reason_text(uint8_t codes,
+                                              const Inputs& inputs);
+
 /// The options-independent half of one embodied assessment: catalog
 /// matches, count resolution, era priors — every branchy step that
 /// depends only on the inputs. Computed once per distinct record and
@@ -136,7 +154,6 @@ struct EmbodiedResolution {
   bool has_cpu = false;            ///< catalog hit or mainstream-generic
   double cpu_die_area_cm2 = 0.0;
   hw::ProcessNode cpu_node{};
-  std::string cpu_missing_reason;  ///< set when !has_cpu
 
   bool has_counts = false;         ///< node/package counts resolvable
   long long nodes = 0;
@@ -154,7 +171,6 @@ struct EmbodiedResolution {
   double proxy_die_area_cm2 = 0.0;
   hw::ProcessNode proxy_node{};
   double proxy_hbm_kg = 0.0;
-  std::string acc_unknown_reason;  ///< set when accelerated && !acc_in_catalog
 
   bool has_gpu_count = false;
   long long gpu_count = 0;
@@ -178,9 +194,18 @@ struct EmbodiedResolution {
 /// validated.
 EmbodiedResolution resolve_embodied(const Inputs& inputs);
 
+/// Failure codes of a resolution under `policy` (0 = assessable).
+/// Shared by the scalar path and the batch kernel's validity mask.
+uint8_t embodied_failure_codes(const EmbodiedResolution& resolution,
+                               AcceleratorPolicy policy);
+
 /// Apply scenario knobs to a resolution.
-Outcome<EmbodiedBreakdown> finish_embodied(const EmbodiedResolution& resolution,
-                                           const EmbodiedOptions& options);
+CellOutcome<EmbodiedBreakdown> finish_embodied(
+    const EmbodiedResolution& resolution, const EmbodiedOptions& options);
+
+/// The compact form of assess_embodied_prevalidated.
+CellOutcome<EmbodiedBreakdown> assess_embodied_cell(
+    const Inputs& inputs, const EmbodiedOptions& options);
 
 Outcome<EmbodiedBreakdown> assess_embodied(const Inputs& inputs,
                                            const EmbodiedOptions& options = {});

@@ -8,11 +8,25 @@ SystemAssessment EasyCModel::assess(const Inputs& inputs) const {
   // One validate() covers both sub-models (they used to re-validate
   // independently; the batch kernel validates once per distinct record).
   inputs.validate();
-  SystemAssessment a;
-  a.name = inputs.name;
-  a.operational = assess_operational_prevalidated(inputs, options_.operational);
-  a.embodied = assess_embodied_prevalidated(inputs, options_.embodied);
-  return a;
+  return SystemAssessment(
+      inputs.name,
+      assess_operational_prevalidated(inputs, options_.operational),
+      assess_embodied_prevalidated(inputs, options_.embodied));
+}
+
+CellValue EasyCModel::assess_cell(const Inputs& inputs) const {
+  inputs.validate();
+  return {assess_operational_cell(inputs, options_.operational),
+          assess_embodied_cell(inputs, options_.embodied)};
+}
+
+SystemAssessment render_assessment(const CellValue& cell,
+                                   const Inputs& inputs) {
+  return SystemAssessment(
+      inputs.name,
+      cell.operational.render(
+          operational_reason_text(cell.operational.codes, inputs)),
+      cell.embodied.render(embodied_reason_text(cell.embodied.codes, inputs)));
 }
 
 std::vector<SystemAssessment> EasyCModel::assess_all(

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "easyc/embodied.hpp"
@@ -34,7 +36,30 @@ struct SystemAssessment {
   SystemAssessment()
       : operational(Outcome<OperationalResult>::failure("not assessed")),
         embodied(Outcome<EmbodiedBreakdown>::failure("not assessed")) {}
+  SystemAssessment(std::string system_name,
+                   Outcome<OperationalResult> operational_side,
+                   Outcome<EmbodiedBreakdown> embodied_side)
+      : name(std::move(system_name)),
+        operational(std::move(operational_side)),
+        embodied(std::move(embodied_side)) {}
 };
+
+/// The compact per-system assessment the engine memoizes and reports:
+/// both sides' numbers with failure reasons as codes. It carries no
+/// name and no reason text, so it is fixed-size and trivially
+/// copyable; render_assessment() produces the full SystemAssessment
+/// from it and the system's inputs when a caller asks for one.
+struct CellValue {
+  CellOutcome<OperationalResult> operational;
+  CellOutcome<EmbodiedBreakdown> embodied;
+};
+static_assert(std::is_trivially_copyable_v<CellValue>);
+
+/// Name and reason text rendered on demand: for `inputs` the cell was
+/// assessed from, render_assessment(model.assess_cell(inputs), inputs)
+/// equals model.assess(inputs).
+SystemAssessment render_assessment(const CellValue& cell,
+                                   const Inputs& inputs);
 
 class EasyCModel {
  public:
@@ -45,6 +70,10 @@ class EasyCModel {
 
   /// Assess one system.
   SystemAssessment assess(const Inputs& inputs) const;
+
+  /// Assess one system into the compact cell form (no name, reasons as
+  /// codes); validates like assess().
+  CellValue assess_cell(const Inputs& inputs) const;
 
   /// Assess a fleet. When `pool` is non-null the sweep is parallelized
   /// across it (otherwise across the process-global pool); results are

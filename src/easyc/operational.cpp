@@ -101,8 +101,6 @@ OperationalResolution resolve_operational(const Inputs& in) {
   rz.year = in.operation_year.value_or(2020);
   rz.has_utilization = in.utilization.has_value();
   if (rz.has_utilization) rz.utilization = *in.utilization;
-  rz.aci_missing_reason =
-      "no grid carbon intensity for country '" + in.country + "'";
 
   if (in.annual_energy_kwh) {
     // Path 1: metered energy is facility-side; no PUE re-application.
@@ -123,11 +121,10 @@ OperationalResolution resolve_operational(const Inputs& in) {
   return rz;
 }
 
-Outcome<OperationalResult> finish_operational(
+CellOutcome<OperationalResult> finish_operational(
     const OperationalResolution& rz, std::optional<double> aci,
     bool aci_region_refined, const OperationalOptions& options) {
-  std::vector<std::string> reasons;
-  if (!aci) reasons.push_back(rz.aci_missing_reason);
+  uint8_t codes = aci ? 0 : reason::kNoGridIntensity;
 
   const double util =
       rz.has_utilization ? rz.utilization : options.default_utilization;
@@ -138,9 +135,7 @@ Outcome<OperationalResult> finish_operational(
   using Path = OperationalResolution::Path;
   switch (rz.path) {
     case Path::kNone:
-      reasons.push_back(
-          "no energy path: power not reported and component counts "
-          "insufficient for a roll-up");
+      codes |= reason::kNoEnergyPath;
       break;
     case Path::kMetered:
       r.path = EnergyPath::kMeteredAnnualEnergy;
@@ -164,17 +159,30 @@ Outcome<OperationalResult> finish_operational(
       break;
   }
 
-  if (!reasons.empty()) {
-    return Outcome<OperationalResult>::failure(std::move(reasons));
-  }
+  if (codes != 0) return CellOutcome<OperationalResult>::failure(codes);
 
   r.aci_g_kwh = *aci;
   r.aci_region_refined = aci_region_refined;
   r.mt_co2e = lane::operational_mt(r.annual_kwh, r.aci_g_kwh);
-  return Outcome<OperationalResult>::success(r);
+  return CellOutcome<OperationalResult>::success(r);
 }
 
-Outcome<OperationalResult> assess_operational_prevalidated(
+std::vector<std::string> operational_reason_text(uint8_t codes,
+                                                 const Inputs& in) {
+  std::vector<std::string> text;
+  if (codes & reason::kNoGridIntensity) {
+    text.push_back("no grid carbon intensity for country '" + in.country +
+                   "'");
+  }
+  if (codes & reason::kNoEnergyPath) {
+    text.push_back(
+        "no energy path: power not reported and component counts "
+        "insufficient for a roll-up");
+  }
+  return text;
+}
+
+CellOutcome<OperationalResult> assess_operational_cell(
     const Inputs& in, const OperationalOptions& options) {
   EASYC_REQUIRE(options.aci != nullptr, "options.aci must not be null");
   EASYC_REQUIRE(options.default_utilization > 0.0 &&
@@ -189,6 +197,12 @@ Outcome<OperationalResult> assess_operational_prevalidated(
       !aci_overridden &&
       options.aci->region_aci(in.country, in.region).has_value();
   return finish_operational(rz, aci, region_refined, options);
+}
+
+Outcome<OperationalResult> assess_operational_prevalidated(
+    const Inputs& in, const OperationalOptions& options) {
+  const auto cell = assess_operational_cell(in, options);
+  return cell.render(operational_reason_text(cell.codes, in));
 }
 
 Outcome<OperationalResult> assess_operational(

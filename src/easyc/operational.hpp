@@ -17,8 +17,10 @@
 // that is the uncovered population of paper Figs. 4-5.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "easyc/inputs.hpp"
 #include "easyc/outcome.hpp"
@@ -100,6 +102,19 @@ struct OperationalOptions {
   std::optional<double> pue_override;
 };
 
+/// Operational failure-reason codes (CellOutcome<OperationalResult>
+/// bits), in the order their text is reported.
+namespace reason {
+inline constexpr uint8_t kNoGridIntensity = 1u << 0;
+inline constexpr uint8_t kNoEnergyPath = 1u << 1;
+inline constexpr uint8_t kOperationalCodes = kNoGridIntensity | kNoEnergyPath;
+}  // namespace reason
+
+/// The text of operational failure `codes` for a system, in the order
+/// the codes are declared (empty for 0).
+std::vector<std::string> operational_reason_text(uint8_t codes,
+                                                 const Inputs& inputs);
+
 /// The options-independent half of one operational assessment: energy
 /// path selected, catalog strings matched, era priors applied — every
 /// branchy, allocation-heavy step that depends only on the inputs. A
@@ -120,9 +135,6 @@ struct OperationalResolution {
   bool has_utilization = false;   ///< metric 8 reported
   double utilization = 0.0;       ///< meaningful when has_utilization
 
-  /// Failure reason emitted when the scenario yields no grid intensity
-  /// (precomputed: it only depends on the record's country).
-  std::string aci_missing_reason;
 };
 
 /// Resolve the options-independent half. `inputs` must already be
@@ -134,9 +146,14 @@ OperationalResolution resolve_operational(const Inputs& inputs);
 /// must be exactly what the scalar lookup would produce: the override
 /// when set, else AciDatabase::best_aci / region_aci — the batch kernel
 /// serves them from a per-batch table instead.
-Outcome<OperationalResult> finish_operational(
+CellOutcome<OperationalResult> finish_operational(
     const OperationalResolution& resolution, std::optional<double> aci,
     bool aci_region_refined, const OperationalOptions& options);
+
+/// The compact form of assess_operational_prevalidated: the same
+/// numbers, failure reasons as codes.
+CellOutcome<OperationalResult> assess_operational_cell(
+    const Inputs& inputs, const OperationalOptions& options);
 
 /// Assess one system. `inputs.validate()` is called; invalid inputs
 /// throw ValidationError, *missing* inputs yield a failure Outcome.

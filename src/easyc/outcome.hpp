@@ -4,8 +4,14 @@
 // Coverage — which systems *can* be assessed under a data scenario — is
 // itself a headline result of the paper (Figs. 4-6), so "no estimate" is
 // a first-class value with machine-readable reasons, not an exception.
+//
+// CellOutcome<T> is the compact form the engine memoizes: the result
+// value plus a bitmask of failure-reason codes, trivially copyable and
+// allocation-free. The reason text is rendered from the codes (and the
+// system's inputs) only when a caller asks for it.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,6 +69,34 @@ class Outcome {
   Outcome() = default;
   std::optional<T> value_;
   std::vector<std::string> reasons_;
+};
+
+/// Fixed-size Outcome: `result` is meaningful when `codes` is 0; a
+/// failure carries one bit per reason (each model side defines its
+/// codes, see model::reason) and a default-valued `result`.
+template <typename T>
+struct CellOutcome {
+  T result{};
+  uint8_t codes = 0;
+
+  static CellOutcome success(const T& value) { return {value, 0}; }
+  static CellOutcome failure(uint8_t reason_codes) {
+    EASYC_REQUIRE(reason_codes != 0, "failure Outcome needs a reason");
+    return {T{}, reason_codes};
+  }
+
+  bool ok() const { return codes == 0; }
+
+  const T& value() const {
+    EASYC_REQUIRE(ok(), "value() on failed Outcome");
+    return result;
+  }
+
+  /// The full Outcome, given the rendered text of `codes`.
+  Outcome<T> render(std::vector<std::string> reason_text) const {
+    return ok() ? Outcome<T>::success(result)
+                : Outcome<T>::failure(std::move(reason_text));
+  }
 };
 
 }  // namespace easyc::model

@@ -6,8 +6,12 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <future>
+#include <mutex>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -47,6 +51,65 @@ void parallel_for(ThreadPool& pool, size_t begin, size_t end, F&& f) {
     }
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+/// Invoke f(i) for every i in [begin, end) across a pool other callers
+/// share, without holding them up. parallel_for queues its whole range
+/// at once, so a task submitted mid-pass waits for all of it; here at
+/// most pool.size() tasks of the pass are queued at any time — each runs
+/// one index, then re-queues itself while indices remain — so work
+/// submitted meanwhile waits behind at most that many indices. Indices
+/// start in ascending order. Blocks until complete; after a body throws
+/// no further index starts, and the first exception propagates once
+/// the running ones finish.
+template <typename F>
+void parallel_for_interleaved(ThreadPool& pool, size_t begin, size_t end,
+                              F&& f) {
+  if (begin >= end) return;
+  struct Pass {
+    Pass(ThreadPool& p, F& body, size_t first, size_t last)
+        : pool(p), f(body), end(last), next(first) {}
+    ThreadPool& pool;
+    F& f;
+    size_t end;
+    std::atomic<size_t> next;
+    std::atomic<bool> failed{false};
+    std::mutex mu;
+    std::condition_variable done;
+    size_t live = 0;  ///< task chains not yet retired (guarded by mu)
+    std::exception_ptr error;
+  };
+  Pass pass(pool, f, begin, end);
+  // One chain: run an index, then re-queue itself or retire.
+  struct Step {
+    Pass* pass;
+    void operator()() const {
+      Pass& p = *pass;
+      const size_t i = p.next.fetch_add(1, std::memory_order_relaxed);
+      if (i < p.end && !p.failed.load(std::memory_order_relaxed)) {
+        try {
+          p.f(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(p.mu);
+          if (!p.error) p.error = std::current_exception();
+          p.failed.store(true, std::memory_order_relaxed);
+        }
+      }
+      if (p.next.load(std::memory_order_relaxed) < p.end &&
+          !p.failed.load(std::memory_order_relaxed)) {
+        p.pool.submit(Step{pass});
+        return;
+      }
+      std::lock_guard<std::mutex> lock(p.mu);
+      if (--p.live == 0) p.done.notify_one();
+    }
+  };
+  const size_t width = std::min<size_t>(end - begin, pool.size());
+  pass.live = width;
+  for (size_t w = 0; w < width; ++w) pool.submit(Step{&pass});
+  std::unique_lock<std::mutex> lock(pass.mu);
+  pass.done.wait(lock, [&] { return pass.live == 0; });
+  if (pass.error) std::rethrow_exception(pass.error);
 }
 
 /// parallel_for on the process-global pool.

@@ -17,6 +17,13 @@
 // the hot working set resident under pressure and makes the victim
 // deterministic for the eviction accounting.
 //
+// Each stripe is a slab: entries live in one array, linked into
+// recency order by index, and an open-addressing index (linear probing,
+// backward-shift deletion) maps a key to its slot. An insert appends
+// to the array (amortized, no per-entry node), an eviction reuses the
+// victim's slot, and teardown frees a few arrays instead of a node per
+// entry. Nothing is pre-sized: an empty cache owns no storage.
+//
 // The table can be persisted: snapshot() serializes every entry under
 // the stripe locks behind a checksummed, versioned header, and
 // restore() loads such a snapshot back through the normal insert path.
@@ -26,13 +33,11 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -91,44 +96,53 @@ class ShardedCache {
   /// or one miss; on a capacity-bounded cache a hit also refreshes the
   /// entry's recency.
   bool lookup(const Key& key, Value& out) const {
-    const Shard& shard = shard_for(key);
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        // Recency only matters when eviction can happen; unbounded
-        // caches skip the splice on the hot memoization path (their
-        // snapshot order degrades to insertion order, which restore()
-        // handles identically).
-        if (per_shard_cap_ != 0) {
-          shard.entries.splice(shard.entries.begin(), shard.entries,
-                               it->second);
-        }
-        out = it->second->second;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
+    const size_t h = Hash{}(key);
+    const Shard& shard = shards_[h % shards_.size()];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const uint32_t slot = shard.find(key, hash32(h));
+    if (slot == kNil) {
+      ++shard.misses;
+      return false;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    // Recency only matters when eviction can happen; unbounded caches
+    // skip the relink on the hot memoization path (their snapshot
+    // order degrades to insertion order, which restore() handles
+    // identically).
+    if (per_shard_cap_ != 0) {
+      shard.unlink(slot);
+      shard.link_front(slot);
+    }
+    out = shard.slots[slot].value;
+    ++shard.hits;
+    return true;
   }
 
   /// Memoize `value` for `key`. First writer wins: if the key is
   /// already resident the call is a no-op (values per key are assumed
   /// identical, so dropping the duplicate is sound; recency is not
   /// refreshed — only real lookups are uses). At capacity, the shard's
-  /// least-recently-used entry is evicted to make room.
+  /// least-recently-used entry is evicted and its slot reused.
   void insert(const Key& key, Value value) {
-    Shard& shard = shard_for(key);
+    const size_t h = Hash{}(key);
+    Shard& shard = shards_[h % shards_.size()];
+    const uint32_t hk = hash32(h);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.map.find(key) != shard.map.end()) return;
-    if (per_shard_cap_ != 0 && shard.map.size() >= per_shard_cap_) {
-      shard.map.erase(shard.entries.back().first);
-      shard.entries.pop_back();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (shard.find(key, hk) != kNil) return;
+    uint32_t slot;
+    if (per_shard_cap_ != 0 && shard.slots.size() >= per_shard_cap_) {
+      slot = shard.tail;
+      shard.erase_index(slot);
+      shard.unlink(slot);
+      shard.slots[slot].key = key;
+      shard.slots[slot].value = std::move(value);
+      ++shard.evictions;
+    } else {
+      slot = static_cast<uint32_t>(shard.slots.size());
+      shard.slots.push_back(Slot{key, std::move(value), kNil, kNil, hk});
     }
-    shard.entries.emplace_front(key, std::move(value));
-    shard.map.emplace(key, shard.entries.begin());
+    shard.slots[slot].hash = hk;
+    shard.link_front(slot);
+    shard.index_insert(slot);
   }
 
   /// lookup(); on miss, compute (outside any lock — `make` may be
@@ -147,27 +161,32 @@ class ShardedCache {
     size_t n = 0;
     for (const Shard& s : shards_) {
       std::lock_guard<std::mutex> lock(s.mu);
-      n += s.map.size();
+      n += s.slots.size();
     }
     return n;
   }
 
-  /// Drop all entries. Counters (hits/misses/evictions) keep running;
-  /// take a stats() snapshot and diff with CacheStats::since instead.
+  /// Drop all entries and free their storage. Counters (hits/misses/
+  /// evictions) keep running; take a stats() snapshot and diff with
+  /// CacheStats::since instead.
   void clear() {
     for (Shard& s : shards_) {
       std::lock_guard<std::mutex> lock(s.mu);
-      s.map.clear();
-      s.entries.clear();
+      std::vector<Slot>().swap(s.slots);
+      std::vector<Bucket>().swap(s.index);
+      s.head = s.tail = kNil;
     }
   }
 
   CacheStats stats() const {
     CacheStats out;
-    out.hits = hits_.load(std::memory_order_relaxed);
-    out.misses = misses_.load(std::memory_order_relaxed);
-    out.evictions = evictions_.load(std::memory_order_relaxed);
-    out.entries = size();
+    for (const Shard& s : shards_) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      out.hits += s.hits;
+      out.misses += s.misses;
+      out.evictions += s.evictions;
+      out.entries += s.slots.size();
+    }
     return out;
   }
 
@@ -193,9 +212,9 @@ class ShardedCache {
     uint64_t count = 0;
     for (const Shard& s : shards_) {
       std::lock_guard<std::mutex> lock(s.mu);
-      for (auto it = s.entries.rbegin(); it != s.entries.rend(); ++it) {
-        encode_key(payload, it->first);
-        encode_value(payload, it->second);
+      for (uint32_t i = s.tail; i != kNil; i = s.slots[i].prev) {
+        encode_key(payload, s.slots[i].key);
+        encode_value(payload, s.slots[i].value);
         ++count;
       }
     }
@@ -212,11 +231,14 @@ class ShardedCache {
   /// Load a snapshot() buffer through the normal insert path (resident
   /// keys win over snapshot entries; capacity eviction applies).
   /// Returns the number of entries the snapshot carried. Throws
-  /// util::CodecError on bad magic, a format/scheme mismatch, a
-  /// checksum failure, truncation, or trailing bytes.
+  /// util::CodecError on bad magic, a format/scheme mismatch, an entry
+  /// count the payload cannot hold at `min_entry_bytes` per entry, a
+  /// checksum failure, truncation, or trailing bytes — the count and
+  /// checksum checks run before anything is inserted.
   template <typename DecodeKey, typename DecodeValue>
   size_t restore(std::string_view bytes, uint64_t scheme_tag,
-                 DecodeKey&& decode_key, DecodeValue&& decode_value) {
+                 DecodeKey&& decode_key, DecodeValue&& decode_value,
+                 size_t min_entry_bytes = 1) {
     util::BinaryReader r(bytes);
     if (r.raw(kSnapshotMagic.size()) != kSnapshotMagic) {
       throw util::CodecError("not a cache snapshot (bad magic)");
@@ -235,6 +257,12 @@ class ShardedCache {
     }
     const uint64_t count = r.u64();
     const uint64_t checksum = r.u64();
+    const uint64_t payload_bytes = r.remaining();
+    if (count > payload_bytes / std::max<size_t>(1, min_entry_bytes)) {
+      throw util::CodecError(
+          "snapshot claims " + std::to_string(count) + " entries but its " +
+          std::to_string(payload_bytes) + "-byte payload cannot hold them");
+    }
     if (checksum != util::checksum64(r.rest())) {
       throw util::CodecError("snapshot payload checksum mismatch");
     }
@@ -251,29 +279,124 @@ class ShardedCache {
   }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    /// Recency order: front = most recently used. The map points into
-    /// the list; both are guarded by `mu` (mutable so lookup-on-const
-    /// can refresh recency under the lock).
-    mutable std::list<std::pair<Key, Value>> entries;
-    std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,
-                       Hash>
-        map;
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /// The 32 hash bits a stripe indexes by: the top bits pick the home
+  /// bucket, all of them pre-filter key compares. Mixed from the full
+  /// hash so they are independent of the bits that picked the stripe.
+  static uint32_t hash32(size_t h) {
+    return static_cast<uint32_t>(
+        (static_cast<uint64_t>(h) * 0x9e3779b97f4a7c15ULL) >> 32);
+  }
+
+  struct Slot {
+    Key key;
+    Value value;
+    uint32_t prev = kNil;  ///< toward the most recently used
+    uint32_t next = kNil;  ///< toward the least recently used
+    uint32_t hash = 0;     ///< hash32(key)
   };
 
-  const Shard& shard_for(const Key& key) const {
-    return shards_[Hash{}(key) % shards_.size()];
-  }
-  Shard& shard_for(const Key& key) {
-    return shards_[Hash{}(key) % shards_.size()];
-  }
+  /// Index bucket: slot + 1 (0 = empty) and the slot's hash32.
+  struct Bucket {
+    uint32_t slot1 = 0;
+    uint32_t hash = 0;
+  };
+
+  /// One stripe. Everything is guarded by `mu`; the recency links and
+  /// counters are mutable so a const lookup can refresh and count under
+  /// the lock.
+  struct Shard {
+    mutable std::mutex mu;
+    mutable std::vector<Slot> slots;
+    std::vector<Bucket> index;  ///< power-of-two size, at most half full
+    mutable uint32_t head = kNil;  ///< most recently used
+    mutable uint32_t tail = kNil;  ///< least recently used
+    mutable uint64_t hits = 0;
+    mutable uint64_t misses = 0;
+    uint64_t evictions = 0;
+
+    size_t home(uint32_t hash) const {
+      return static_cast<size_t>(hash) >>
+             (32 - std::countr_zero(index.size()));
+    }
+
+    uint32_t find(const Key& key, uint32_t hash) const {
+      if (index.empty()) return kNil;
+      const size_t mask = index.size() - 1;
+      for (size_t b = home(hash);; b = (b + 1) & mask) {
+        const Bucket& bucket = index[b];
+        if (bucket.slot1 == 0) return kNil;
+        if (bucket.hash == hash && slots[bucket.slot1 - 1].key == key) {
+          return bucket.slot1 - 1;
+        }
+      }
+    }
+
+    /// Index `slot` (its key is known absent), growing the index first
+    /// when it would pass half full.
+    void index_insert(uint32_t slot) {
+      if (2 * slots.size() > index.size()) {
+        std::vector<Bucket> old(std::max<size_t>(8, 2 * index.size()));
+        old.swap(index);
+        for (const Bucket& b : old) {
+          if (b.slot1 != 0) place(b);
+        }
+      }
+      place(Bucket{slot + 1, slots[slot].hash});
+    }
+
+    void place(Bucket bucket) {
+      const size_t mask = index.size() - 1;
+      size_t b = home(bucket.hash);
+      while (index[b].slot1 != 0) b = (b + 1) & mask;
+      index[b] = bucket;
+    }
+
+    /// Remove `slot` from the index, shifting later members of its
+    /// probe run back so lookups never need tombstones.
+    void erase_index(uint32_t slot) {
+      const size_t mask = index.size() - 1;
+      size_t hole = home(slots[slot].hash);
+      while (index[hole].slot1 != slot + 1) hole = (hole + 1) & mask;
+      for (size_t b = (hole + 1) & mask; index[b].slot1 != 0;
+           b = (b + 1) & mask) {
+        // An entry may fill the hole unless its home lies cyclically
+        // in (hole, b] — moving it before its home would hide it.
+        const size_t h = home(index[b].hash);
+        if (((b - h) & mask) >= ((b - hole) & mask)) {
+          index[hole] = index[b];
+          hole = b;
+        }
+      }
+      index[hole] = Bucket{};
+    }
+
+    void link_front(uint32_t slot) const {
+      slots[slot].prev = kNil;
+      slots[slot].next = head;
+      if (head != kNil) slots[head].prev = slot;
+      head = slot;
+      if (tail == kNil) tail = slot;
+    }
+
+    void unlink(uint32_t slot) const {
+      Slot& s = slots[slot];
+      if (s.prev != kNil) {
+        slots[s.prev].next = s.next;
+      } else {
+        head = s.next;
+      }
+      if (s.next != kNil) {
+        slots[s.next].prev = s.prev;
+      } else {
+        tail = s.prev;
+      }
+    }
+  };
 
   std::vector<Shard> shards_;
   size_t per_shard_cap_ = 0;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace easyc::par

@@ -5,13 +5,15 @@
 // the cache off, cold, or warm, on one thread or many, every cell must
 // equal a direct EasyCModel::assess(to_inputs(...)) byte-for-byte —
 // same doubles, same failure reasons in the same order, same coverage —
-// which this test checks through the assessment codec's bytes. The
+// which this test checks by rendering each compact engine cell (name
+// and reason text from the record) and comparing full encodings. The
 // BatchAssessor is also checked directly over mixed valid/invalid/
 // missing-input lanes and for ValidationError parity.
 #include "easyc/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,7 +22,6 @@
 
 #include "analysis/assessment_engine.hpp"
 #include "analysis/sweep.hpp"
-#include "easyc/codec.hpp"
 #include "parallel/thread_pool.hpp"
 #include "top500/generator.hpp"
 #include "top500/history.hpp"
@@ -34,12 +35,49 @@ namespace {
 namespace sc = scenarios;
 using analysis::AssessmentEngine;
 
-// Byte-identity is asserted through the codec: if two assessments
-// encode to the same bytes, every double is bit-equal and every
-// failure-reason list matches in content and order.
+// Byte-identity is asserted through a full encoding of the rendered
+// assessment: if two assessments encode to the same bytes, the names
+// match, every double is bit-equal and every failure-reason list
+// matches in content and order.
+template <typename T, typename Fields>
+void encode_side(util::BinaryWriter& w, const model::Outcome<T>& o,
+                 Fields&& fields) {
+  w.boolean(o.ok());
+  if (o.ok()) {
+    fields(w, o.value());
+    return;
+  }
+  w.u64(o.reasons().size());
+  for (const std::string& reason : o.reasons()) w.str(reason);
+}
+
 std::string bytes_of(const model::SystemAssessment& a) {
   util::BinaryWriter w;
-  model::encode_assessment(w, a);
+  w.str(a.name);
+  encode_side(w, a.operational,
+              [](util::BinaryWriter& out, const model::OperationalResult& r) {
+                out.f64(r.mt_co2e)
+                    .f64(r.annual_kwh)
+                    .f64(r.it_kw)
+                    .f64(r.pue)
+                    .f64(r.aci_g_kwh)
+                    .boolean(r.aci_region_refined)
+                    .u8(static_cast<uint8_t>(r.path))
+                    .f64(r.utilization);
+              });
+  encode_side(w, a.embodied,
+              [](util::BinaryWriter& out, const model::EmbodiedBreakdown& b) {
+                out.f64(b.cpu_mt)
+                    .f64(b.gpu_mt)
+                    .f64(b.memory_mt)
+                    .f64(b.storage_mt)
+                    .f64(b.platform_mt)
+                    .f64(b.interconnect_mt)
+                    .f64(b.total_mt)
+                    .boolean(b.used_gpu_proxy)
+                    .boolean(b.used_memory_default)
+                    .boolean(b.used_storage_default);
+              });
   return w.bytes();
 }
 
@@ -60,16 +98,23 @@ OracleBytes oracle_bytes(const std::vector<top500::SystemRecord>& records,
   return out;
 }
 
+// Engine cells are compact (no name, reasons as codes): each is
+// rendered from its record before the byte compare.
 void expect_matches_oracle(const EditionAssessment& got,
+                           const std::vector<top500::SystemRecord>& records,
                            const OracleBytes& want) {
   ASSERT_EQ(got.scenarios.size(), want.size());
   for (size_t s = 0; s < want.size(); ++s) {
-    const auto& cells = got.scenarios[s].assessments;
-    ASSERT_EQ(cells.size(), want[s].size());
-    for (size_t i = 0; i < cells.size(); ++i) {
-      ASSERT_EQ(bytes_of(cells[i]), want[s][i])
-          << got.label << " scenario " << got.scenarios[s].spec.name
-          << " record " << i;
+    const ScenarioResults& results = got.scenarios[s];
+    ASSERT_EQ(results.assessments.size(), want[s].size());
+    for (size_t i = 0; i < want[s].size(); ++i) {
+      const model::Inputs inputs =
+          to_inputs(records[i], results.spec.visibility);
+      const model::SystemAssessment rendered =
+          model::render_assessment(results.assessments[i], inputs);
+      ASSERT_EQ(bytes_of(rendered), want[s][i])
+          << got.label << " scenario " << results.spec.name << " record "
+          << i;
     }
   }
 }
@@ -126,17 +171,19 @@ TEST(BatchKernel, EngineMatchesOracleOnBothKernelsCacheModesAndThreads) {
       par::ThreadPool pool(threads);
 
       AssessmentEngine off({.pool = &pool, .cache_enabled = false});
-      expect_matches_oracle(off.assess(records, shape.set), want);
-      expect_matches_oracle(off.assess(records, shape.set), want);
+      expect_matches_oracle(off.assess(records, shape.set), records, want);
+      expect_matches_oracle(off.assess(records, shape.set), records, want);
       EXPECT_EQ(off.batch_stats().lanes, 2 * lanes);
       EXPECT_EQ(off.cache_stats().lookups(), 0u);
       EXPECT_EQ(off.cache_stats().entries, 0u);
 
       AssessmentEngine cached({.pool = &pool});
-      expect_matches_oracle(cached.assess(records, shape.set), want);  // cold
+      // cold
+      expect_matches_oracle(cached.assess(records, shape.set), records, want);
       EXPECT_EQ(cached.batch_stats().lanes, lanes);
       EXPECT_EQ(cached.cache_stats().misses, cells);
-      expect_matches_oracle(cached.assess(records, shape.set), want);  // warm
+      // warm
+      expect_matches_oracle(cached.assess(records, shape.set), records, want);
       EXPECT_EQ(cached.batch_stats().lanes, lanes);  // pure lookups
       EXPECT_EQ(cached.cache_stats().misses, cells);
       EXPECT_EQ(cached.cache_stats().hits, cells);
@@ -158,11 +205,11 @@ TEST(BatchKernel, CatalogAllStockScenariosMatchOracle) {
   par::ThreadPool one(1);
 
   AssessmentEngine off({.pool = &one, .cache_enabled = false});
-  expect_matches_oracle(off.assess(records, set), want);
+  expect_matches_oracle(off.assess(records, set), records, want);
   EXPECT_EQ(off.batch_stats().lanes, set.size() * records.size());
 
   AssessmentEngine cached({.pool = &one});
-  expect_matches_oracle(cached.assess(records, set), want);
+  expect_matches_oracle(cached.assess(records, set), records, want);
   // The alias grid found its entries resident: one lane fewer per
   // record than the uncached engine, the same profiles.
   EXPECT_EQ(cached.batch_stats().lanes, (set.size() - 1) * records.size());
@@ -197,8 +244,8 @@ TEST(BatchKernel, HistoryMatchesOracleColdAndWarm) {
   ASSERT_EQ(warm.size(), history.size());
   for (size_t e = 0; e < history.size(); ++e) {
     const OracleBytes want = oracle_bytes(history[e].records, set);
-    expect_matches_oracle(cold[e], want);
-    expect_matches_oracle(warm[e], want);
+    expect_matches_oracle(cold[e], history[e].records, want);
+    expect_matches_oracle(warm[e], history[e].records, want);
   }
 }
 
@@ -220,7 +267,7 @@ TEST(BatchKernel, SweepSliceMatchesOracle) {
   ASSERT_GE(cells.size(), 1000u);
   par::ThreadPool wide(4);
   AssessmentEngine engine({.pool = &wide});
-  expect_matches_oracle(engine.assess(records, cells),
+  expect_matches_oracle(engine.assess(records, cells), records,
                         oracle_bytes(records, cells));
   EXPECT_GT(engine.batch_stats().lanes, 0u);
   EXPECT_GT(engine.cache_stats().hits, 0u);  // the lifetime aliases
@@ -366,15 +413,61 @@ TEST(BatchKernel, MixedLanesMatchScalarUnderEveryOptionSet) {
   batch.resolve_profiles(&one);
 
   for (const auto& options : option_sets()) {
-    std::vector<model::SystemAssessment> got(lanes.size());
+    std::vector<model::CellValue> got(lanes.size());
     std::vector<model::BatchAssessor::Cell> cells(lanes.size());
     for (size_t i = 0; i < lanes.size(); ++i) cells[i] = {i, &got[i]};
-    batch.assess(options, cells.data(), cells.size(), &one);
+    batch.assess({{&options, cells.data(), cells.size()}}, &one);
 
     model::EasyCModel oracle(options);
     for (size_t i = 0; i < lanes.size(); ++i) {
-      EXPECT_EQ(bytes_of(got[i]), bytes_of(oracle.assess(lanes[i])))
+      const std::string want = bytes_of(oracle.assess(lanes[i]));
+      EXPECT_EQ(bytes_of(model::render_assessment(got[i], lanes[i])), want)
           << lanes[i].name;
+      EXPECT_EQ(bytes_of(model::render_assessment(
+                    oracle.assess_cell(lanes[i]), lanes[i])),
+                want)
+          << lanes[i].name;
+    }
+  }
+}
+
+TEST(BatchKernel, OnePassOverManyJobsPublishesEveryLaneOnce) {
+  // Every option set as one job of every lane, in one pass on a wide
+  // pool: each lane is published exactly once, by the task that wrote
+  // it, and equals the single-job pass.
+  const auto lanes = mixed_lanes();
+  const auto sets = option_sets();
+  par::ThreadPool wide(4);
+  model::BatchAssessor batch;
+  for (const auto& in : lanes) batch.add_profile(in);
+  batch.resolve_profiles(&wide);
+
+  std::vector<std::vector<model::CellValue>> got(
+      sets.size(), std::vector<model::CellValue>(lanes.size()));
+  std::vector<std::vector<model::BatchAssessor::Cell>> cells(sets.size());
+  std::vector<model::BatchAssessor::Job> jobs;
+  for (size_t j = 0; j < sets.size(); ++j) {
+    for (size_t i = 0; i < lanes.size(); ++i) {
+      cells[j].push_back({i, &got[j][i]});
+    }
+    jobs.push_back({&sets[j], cells[j].data(), cells[j].size()});
+  }
+  std::vector<std::vector<std::atomic<int>>> published(sets.size());
+  for (auto& p : published) p = std::vector<std::atomic<int>>(lanes.size());
+  batch.assess(jobs, &wide, [&](size_t j, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) ++published[j][i];
+  });
+
+  for (size_t j = 0; j < sets.size(); ++j) {
+    std::vector<model::CellValue> alone(lanes.size());
+    std::vector<model::BatchAssessor::Cell> one_job(lanes.size());
+    for (size_t i = 0; i < lanes.size(); ++i) one_job[i] = {i, &alone[i]};
+    batch.assess({{&sets[j], one_job.data(), one_job.size()}}, &wide);
+    for (size_t i = 0; i < lanes.size(); ++i) {
+      EXPECT_EQ(published[j][i].load(), 1) << j << " " << lanes[i].name;
+      EXPECT_EQ(bytes_of(model::render_assessment(got[j][i], lanes[i])),
+                bytes_of(model::render_assessment(alone[i], lanes[i])))
+          << j << " " << lanes[i].name;
     }
   }
 }
@@ -407,7 +500,7 @@ TEST(BatchKernel, AciHoistStatsAccounting) {
   par::ThreadPool one(1);
 
   AssessmentEngine engine({.pool = &one, .cache_enabled = false});
-  expect_matches_oracle(engine.assess(records, set),
+  expect_matches_oracle(engine.assess(records, set), records,
                         oracle_bytes(records, set));
   const auto& hs = engine.batch_stats();
   EXPECT_EQ(hs.lanes, set.size() * records.size());

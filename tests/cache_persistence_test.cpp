@@ -1,5 +1,5 @@
-// Cache persistence: the assessment codec round trip, engine snapshot
-// save -> load -> bit-identical warm-started results, rejection of
+// Cache persistence: the cell codec round trip and its rejections,
+// engine snapshot save -> load -> bit-identical warm-started results, rejection of
 // corrupt / truncated / version- or scheme-mismatched snapshot files,
 // and LRU eviction interplay with restored entries.
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/assessment_engine.hpp"
@@ -82,9 +83,15 @@ void expect_identical(const std::vector<EditionAssessment>& a,
   }
 }
 
-// --- assessment codec ------------------------------------------------
+// --- cell codec ------------------------------------------------------
 
-TEST(AssessmentCodec, SuccessAndFailureOutcomesRoundTrip) {
+std::string encoded(const model::CellValue& cell) {
+  util::BinaryWriter w;
+  model::encode_cell(w, cell);
+  return w.bytes();
+}
+
+TEST(CellCodec, SuccessAndFailureCellsRoundTrip) {
   const auto records = top500::generate_records();
   const model::EasyCModel model(sc::enhanced().to_options());
   // Sweep enough records to hit both covered and uncovered systems on
@@ -92,60 +99,86 @@ TEST(AssessmentCodec, SuccessAndFailureOutcomesRoundTrip) {
   int ok_seen = 0;
   int fail_seen = 0;
   for (size_t i = 0; i < 80; ++i) {
-    const auto a = model.assess(
-        to_inputs(records[i], top500::DataVisibility::kTop500PlusPublic));
-    util::BinaryWriter w;
-    model::encode_assessment(w, a);
-    util::BinaryReader r(w.bytes());
-    const auto back = model::decode_assessment(r);
+    const auto inputs =
+        to_inputs(records[i], top500::DataVisibility::kTop500PlusPublic);
+    const model::CellValue cell = model.assess_cell(inputs);
+    const std::string bytes = encoded(cell);
+    util::BinaryReader r(bytes);
+    const model::CellValue back = model::decode_cell(r);
     EXPECT_TRUE(r.exhausted());
+    // Re-encoding is the bitwise compare: every double, flag and code.
+    EXPECT_EQ(encoded(back), bytes);
 
-    EXPECT_EQ(back.name, a.name);
-    ASSERT_EQ(back.operational.ok(), a.operational.ok());
-    if (a.operational.ok()) {
+    ASSERT_EQ(back.operational.ok(), cell.operational.ok());
+    EXPECT_EQ(back.operational.codes, cell.operational.codes);
+    if (cell.operational.ok()) {
       ++ok_seen;
       EXPECT_EQ(std::bit_cast<uint64_t>(back.operational.value().mt_co2e),
-                std::bit_cast<uint64_t>(a.operational.value().mt_co2e));
-      EXPECT_EQ(back.operational.value().path, a.operational.value().path);
-      EXPECT_EQ(back.operational.value().aci_region_refined,
-                a.operational.value().aci_region_refined);
+                std::bit_cast<uint64_t>(cell.operational.value().mt_co2e));
+      EXPECT_EQ(back.operational.value().path, cell.operational.value().path);
     } else {
       ++fail_seen;
-      EXPECT_EQ(back.operational.reasons(), a.operational.reasons());
     }
-    ASSERT_EQ(back.embodied.ok(), a.embodied.ok());
-    if (a.embodied.ok()) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(back.embodied.value().total_mt),
-                std::bit_cast<uint64_t>(a.embodied.value().total_mt));
-      EXPECT_EQ(back.embodied.value().used_gpu_proxy,
-                a.embodied.value().used_gpu_proxy);
-    } else {
-      EXPECT_EQ(back.embodied.reasons(), a.embodied.reasons());
-    }
+    ASSERT_EQ(back.embodied.ok(), cell.embodied.ok());
+    EXPECT_EQ(back.embodied.codes, cell.embodied.codes);
+
+    // The decoded codes render the scalar model's name and reasons.
+    const auto want = model.assess(inputs);
+    const auto got = model::render_assessment(back, inputs);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.operational.reasons(), want.operational.reasons());
+    EXPECT_EQ(got.embodied.reasons(), want.embodied.reasons());
   }
   EXPECT_GT(ok_seen, 0);
   EXPECT_GT(fail_seen, 0);
 }
 
-TEST(AssessmentCodec, AbsurdReasonCountIsCodecErrorNotBadAlloc) {
-  // A corrupt failure-Outcome count must raise CodecError (caught by
-  // the CLI's advisory-cache handling), not length_error/bad_alloc
-  // from an unbounded reserve.
-  util::BinaryWriter bad;
-  bad.str("x").boolean(false).u64(1ULL << 60);
-  util::BinaryReader r(bad.bytes());
-  EXPECT_THROW(model::decode_assessment(r), util::CodecError);
+// A cell whose operational side is a success with the given path byte,
+// then a failed embodied side: ok flag, codes, and the result fields.
+std::string cell_with_path(uint8_t path) {
+  util::BinaryWriter w;
+  w.boolean(true).u8(0);
+  for (int i = 0; i < 5; ++i) w.f64(0.0);
+  w.boolean(false).u8(path).f64(0.0);
+  w.boolean(false).u8(model::reason::kNoCounts);
+  return w.bytes();
 }
 
-TEST(AssessmentCodec, BadEnergyPathByteIsRejected) {
-  // Craft a success outcome with an out-of-enum path byte: name, ok=1,
-  // five doubles, the refinement bool, then the path.
-  util::BinaryWriter bad;
-  bad.str("x").boolean(true);
-  for (int i = 0; i < 5; ++i) bad.f64(0.0);
-  bad.boolean(false).u8(99).f64(0.0);
-  util::BinaryReader r(bad.bytes());
-  EXPECT_THROW(model::decode_assessment(r), util::CodecError);
+TEST(CellCodec, BadEnergyPathByteIsRejected) {
+  const std::string good = cell_with_path(0);
+  util::BinaryReader ok(good);
+  EXPECT_NO_THROW(model::decode_cell(ok));
+  const std::string bad = cell_with_path(99);
+  util::BinaryReader r(bad);
+  EXPECT_THROW(model::decode_cell(r), util::CodecError);
+}
+
+TEST(CellCodec, UnknownReasonBitsAreRejected) {
+  for (const auto& [op, emb] : {std::pair<uint8_t, uint8_t>{0x04, 0x01},
+                                {0x80, 0x01},
+                                {0x01, 0x10},
+                                {0x01, 0xff}}) {
+    util::BinaryWriter w;
+    w.boolean(false).u8(op).boolean(false).u8(emb);
+    util::BinaryReader r(w.bytes());
+    EXPECT_THROW(model::decode_cell(r), util::CodecError)
+        << int{op} << " " << int{emb};
+  }
+}
+
+TEST(CellCodec, OkFlagContradictingCodesIsRejected) {
+  {  // ok, yet a reason code is set
+    util::BinaryWriter w;
+    w.boolean(true).u8(model::reason::kNoEnergyPath);
+    util::BinaryReader r(w.bytes());
+    EXPECT_THROW(model::decode_cell(r), util::CodecError);
+  }
+  {  // failed, yet no reason code
+    util::BinaryWriter w;
+    w.boolean(false).u8(0).boolean(false).u8(model::reason::kNoCounts);
+    util::BinaryReader r(w.bytes());
+    EXPECT_THROW(model::decode_cell(r), util::CodecError);
+  }
 }
 
 // --- engine snapshot round trip --------------------------------------
@@ -280,6 +313,43 @@ TEST_F(CachePersistenceRejection, TruncatedFile) {
   expect_rejected(bytes_.substr(0, bytes_.size() / 2));
   expect_rejected(bytes_.substr(0, 10));  // mid-header
   expect_rejected("");
+}
+
+TEST_F(CachePersistenceRejection, HeaderCountBeyondPayloadIsRejected) {
+  // The u64 entry count (bytes 20..27) sits outside the checksummed
+  // payload: a count the payload cannot hold is refused before any
+  // entry is decoded or inserted — not a bad_alloc, not a half-loaded
+  // cache.
+  const size_t payload = bytes_.size() - 36;
+  for (const uint64_t count : {uint64_t{1} << 60, uint64_t{payload}}) {
+    std::string b = bytes_;
+    for (int i = 0; i < 8; ++i) {
+      b[20 + static_cast<size_t>(i)] = static_cast<char>(count >> (8 * i));
+    }
+    expect_rejected(b);
+  }
+}
+
+TEST_F(CachePersistenceRejection, CodecVersion1SnapshotFailsSchemeTag) {
+  // A snapshot an older build wrote under codec version 1 (whole
+  // SystemAssessments) carries that version's scheme tag.
+  const uint64_t v1 = AssessmentEngine::cache_scheme_tag(1);
+  EXPECT_NE(v1, AssessmentEngine::cache_scheme_tag());
+  std::string b = bytes_;
+  for (int i = 0; i < 8; ++i) {
+    b[12 + static_cast<size_t>(i)] = static_cast<char>(v1 >> (8 * i));
+  }
+  write_file(path_, b);
+  AssessmentEngine fresh;
+  try {
+    fresh.load_cache(path_);
+    ADD_FAILURE() << "a codec-1 snapshot loaded";
+  } catch (const util::CodecError& e) {
+    EXPECT_NE(std::string(e.what()).find("different key/value scheme"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fresh.cache_stats().entries, 0u);
 }
 
 TEST_F(CachePersistenceRejection, TrailingBytesAfterPayload) {

@@ -78,6 +78,47 @@ TEST(ParallelFor, PropagatesBodyException) {
       std::runtime_error);
 }
 
+TEST(ParallelForInterleaved, CoversEveryIndexExactlyOnce) {
+  for (unsigned threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(3000);
+    parallel_for_interleaved(pool, 0, hits.size(),
+                             [&](size_t i) { ++hits[i]; });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    int calls = 0;
+    parallel_for_interleaved(pool, 4, 4, [&](size_t) { ++calls; });
+    EXPECT_EQ(calls, 0);
+  }
+}
+
+TEST(ParallelForInterleaved, PropagatesBodyExceptionAndStopsStarting) {
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_for_interleaved(pool, 0, 100,
+                                        [&](size_t i) {
+                                          ++ran;
+                                          if (i == 7) {
+                                            throw std::runtime_error("bad");
+                                          }
+                                        }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 8);  // one thread: indices run in order
+}
+
+TEST(ParallelForInterleaved, WorkSubmittedMidPassRunsBeforeThePassEnds) {
+  // One worker: the pass keeps a single task queued, so a task submitted
+  // while index 0 runs goes next, not after the other 199 indices.
+  ThreadPool pool(1);
+  std::atomic<int> done{0};
+  std::future<int> seen;
+  parallel_for_interleaved(pool, 0, 200, [&](size_t i) {
+    if (i == 0) seen = pool.submit([&] { return done.load(); });
+    ++done;
+  });
+  EXPECT_EQ(seen.get(), 1);
+  EXPECT_EQ(done.load(), 200);
+}
+
 TEST(ParallelMap, PreservesIndexOrder) {
   ThreadPool pool(4);
   auto out = parallel_map(pool, 0, 1000,
