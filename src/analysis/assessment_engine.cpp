@@ -145,12 +145,24 @@ void AssessmentEngine::add_batch_stats(const model::BatchStats& stats) {
   batch_stats_ += stats;
 }
 
+std::vector<uint64_t> AssessmentEngine::record_fingerprints(
+    const std::vector<top500::SystemRecord>& records) const {
+  if (!options_.cache_enabled) return {};
+  std::vector<uint64_t> fps(records.size());
+  par::parallel_for(
+      options_.pool ? *options_.pool : par::ThreadPool::global(), 0,
+      records.size(),
+      [&](size_t i) { fps[i] = records[i].content_fingerprint(); });
+  return fps;
+}
+
 // One edition's wavefront: all (scenario, record) cells flattened into
 // parallel grids. A cell first consults the memo table; only a miss
 // pays for the visibility projection and the model. Each cell writes
-// its own slot, so results are bit-identical for any pool size. With
-// the cache disabled the same grids run with every cell a miss: no
-// fingerprints, no lookups, no publishes.
+// its own slot, so results are bit-identical for any pool size. The
+// memo is read and written in bulk runs (ShardedCache::lookup_many /
+// insert_many: one lock per stripe per run). With the cache disabled
+// the same grids run with every cell a miss: no lookups, no publishes.
 //
 // Scenarios whose fingerprints coincide (aliases: same assessment
 // identity under different names/service lives, like the stock
@@ -161,13 +173,16 @@ void AssessmentEngine::add_batch_stats(const model::BatchStats& stats) {
 // deterministic for every pool size.
 void AssessmentEngine::assess_edition(
     const std::vector<top500::SystemRecord>& records,
-    const ScenarioSet& scenarios, const std::vector<model::EasyCModel>& models,
+    const std::vector<uint64_t>& record_fps, const ScenarioSet& scenarios,
+    const std::vector<model::EasyCModel>& models,
     const std::vector<uint64_t>& scenario_fps, EditionAssessment& out) {
   par::ThreadPool& pool =
       options_.pool ? *options_.pool : par::ThreadPool::global();
   const size_t num_scenarios = scenarios.size();
   const size_t num_records = records.size();
   const bool cached = options_.cache_enabled;
+  EASYC_REQUIRE(!cached || record_fps.size() == num_records,
+                "one record fingerprint per record");
 
   out.scenarios.resize(num_scenarios);
   for (size_t s = 0; s < num_scenarios; ++s) {
@@ -180,17 +195,6 @@ void AssessmentEngine::assess_edition(
   }
   if (num_scenarios == 0 || num_records == 0) return;
 
-  std::vector<uint64_t> record_fps;
-  if (cached) {
-    record_fps.resize(num_records);
-    par::parallel_for(pool, 0, num_records, [&](size_t i) {
-      record_fps[i] = records[i].content_fingerprint();
-    });
-  }
-  auto key = [&](size_t s, size_t i) {
-    return CellKey{record_fps[i], scenario_fps[s]};
-  };
-
   std::vector<size_t> primaries;
   std::vector<size_t> aliases;
   for (size_t s = 0; s < num_scenarios; ++s) {
@@ -201,38 +205,92 @@ void AssessmentEngine::assess_edition(
     (is_alias ? aliases : primaries).push_back(s);
   }
 
+  // Scalar fill path: tasks of kScalarTaskCells consecutive grid cells,
+  // each one bulk lookup, the misses computed, then one bulk publish —
+  // a single pass. Keys within a grid are unique, so no task's publish
+  // can turn another task's lookup into a hit.
+  constexpr size_t kScalarTaskCells = 32;
   auto run_grid = [&](const std::vector<size_t>& scenario_indices) {
-    par::parallel_for(
-        pool, 0, scenario_indices.size() * num_records, [&](size_t cell) {
-          const size_t s = scenario_indices[cell / num_records];
-          const size_t i = cell % num_records;
-          model::CellValue& slot = out.scenarios[s].assessments[i];
-          if (cached && cache_.lookup(key(s, i), slot)) return;
-          slot = models[s].assess_cell(
-              to_inputs(records[i], scenarios.specs()[s].visibility));
-          if (cached) cache_.insert(key(s, i), slot);
-        });
+    const size_t ngrid = scenario_indices.size() * num_records;
+    auto key = [&](size_t cell) {
+      return CellKey{record_fps[cell % num_records],
+                     scenario_fps[scenario_indices[cell / num_records]]};
+    };
+    auto slot = [&](size_t cell) -> model::CellValue& {
+      return out.scenarios[scenario_indices[cell / num_records]]
+          .assessments[cell % num_records];
+    };
+    const size_t ntasks = (ngrid + kScalarTaskCells - 1) / kScalarTaskCells;
+    par::parallel_for(pool, 0, ntasks, [&](size_t t) {
+      const size_t first = t * kScalarTaskCells;
+      const size_t n = std::min(kScalarTaskCells, ngrid - first);
+      std::array<bool, kScalarTaskCells> hit{};
+      if (cached) {
+        cache_.lookup_many(
+            n, [&](size_t k) { return key(first + k); },
+            [&](size_t k, const model::CellValue& v) {
+              slot(first + k) = v;
+              hit[k] = true;
+            });
+      }
+      std::array<uint8_t, kScalarTaskCells> missed{};
+      size_t num_missed = 0;
+      for (size_t k = 0; k < n; ++k) {
+        if (hit[k]) continue;
+        const size_t cell = first + k;
+        const size_t s = scenario_indices[cell / num_records];
+        slot(cell) = models[s].assess_cell(
+            to_inputs(records[cell % num_records],
+                      scenarios.specs()[s].visibility));
+        missed[num_missed++] = static_cast<uint8_t>(k);
+      }
+      if (cached) {
+        cache_.insert_many(
+            num_missed, [&](size_t m) { return key(first + missed[m]); },
+            [&](size_t m) -> const model::CellValue& {
+              return slot(first + missed[m]);
+            });
+      }
+    });
   };
 
-  // SoA fill path: pass 1 runs every lookup against the grid's starting
-  // cache state, which makes the miss set — and so the hit accounting —
-  // deterministic for every pool size (the scalar grid has the same
-  // property because its per-cell lookups also all precede any insert
-  // it could hit: keys within a grid are unique). The misses then
-  // resolve one profile per distinct (visibility, record) and run as
-  // one kernel pass over every scenario's lanes, each task publishing
-  // the lanes it wrote.
+  // SoA fill path: pass 1 runs every lookup (one bulk run per scenario
+  // row) against the grid's starting cache state, which makes the miss
+  // set — and so the hit accounting — deterministic for every pool
+  // size. The misses then resolve one profile per distinct
+  // (visibility, record) and run as one kernel pass over every
+  // scenario's lanes, each 256-lane task publishing its lanes in one
+  // bulk run.
   model::BatchAssessor batch;
   std::array<std::vector<int64_t>, top500::kNumDataVisibilities> pid;
   auto run_grid_soa = [&](const std::vector<size_t>& scenario_indices) {
     const size_t ngrid = scenario_indices.size() * num_records;
     std::vector<uint8_t> hit(ngrid);
     if (cached) {
-      par::parallel_for(pool, 0, ngrid, [&](size_t cell) {
-        const size_t s = scenario_indices[cell / num_records];
-        const size_t i = cell % num_records;
-        hit[cell] =
-            cache_.lookup(key(s, i), out.scenarios[s].assessments[i]) ? 1 : 0;
+      // Interleaved like the kernel pass, in tasks of whole rows (about
+      // kLookupTaskCells cells, or one longer row), so a daemon's
+      // interactive requests do not queue behind a bulk block's whole
+      // lookup pass.
+      constexpr size_t kLookupTaskCells = 512;
+      const size_t rows = scenario_indices.size();
+      const size_t rows_per_task =
+          std::max<size_t>(1, kLookupTaskCells / num_records);
+      const size_t ntasks = (rows + rows_per_task - 1) / rows_per_task;
+      par::parallel_for_interleaved(pool, 0, ntasks, [&](size_t t) {
+        for (size_t g = t * rows_per_task;
+             g < std::min(rows, (t + 1) * rows_per_task); ++g) {
+          const uint64_t scenario_fp = scenario_fps[scenario_indices[g]];
+          model::CellValue* row =
+              out.scenarios[scenario_indices[g]].assessments.data();
+          uint8_t* row_hit = hit.data() + g * num_records;
+          cache_.lookup_many(
+              num_records,
+              [&](size_t i) { return CellKey{record_fps[i], scenario_fp}; },
+              [&](size_t i, const model::CellValue& v) {
+                row[i] = v;
+                row_hit[i] = 1;
+              });
+        }
       });
     }
     // Serial scan keeps profile ids and lane order deterministic;
@@ -279,10 +337,17 @@ void AssessmentEngine::assess_edition(
     model::BatchAssessor::Publish publish;
     if (cached) {
       publish = [&](size_t j, size_t begin, size_t end) {
-        const size_t s = job_scenario[j];
-        for (size_t k = job_offset[j] + begin; k < job_offset[j] + end; ++k) {
-          cache_.insert(key(s, cell_records[k]), *cells[k].out);
-        }
+        const uint64_t scenario_fp = scenario_fps[job_scenario[j]];
+        const size_t first = job_offset[j] + begin;
+        cache_.insert_many(
+            end - begin,
+            [&](size_t k) {
+              return CellKey{record_fps[cell_records[first + k]],
+                             scenario_fp};
+            },
+            [&](size_t k) -> const model::CellValue& {
+              return *cells[first + k].out;
+            });
       };
     }
     batch.assess(jobs, &pool, publish);
@@ -319,8 +384,9 @@ std::vector<EditionAssessment> AssessmentEngine::run(
   for (size_t e = 0; e < editions.size(); ++e) {
     out[e].label = editions[e].label;
     out[e].num_new = editions[e].num_new;
-    assess_edition(editions[e].records, scenarios, models, scenario_fps,
-                   out[e]);
+    assess_edition(editions[e].records,
+                   record_fingerprints(editions[e].records), scenarios,
+                   models, scenario_fps, out[e]);
   }
   return out;
 }
@@ -410,6 +476,12 @@ size_t AssessmentEngine::load_cache(const std::string& path) {
 EditionAssessment AssessmentEngine::assess(
     const std::vector<top500::SystemRecord>& records,
     const ScenarioSet& scenarios) {
+  return assess(records, record_fingerprints(records), scenarios);
+}
+
+EditionAssessment AssessmentEngine::assess(
+    const std::vector<top500::SystemRecord>& records,
+    const std::vector<uint64_t>& record_fps, const ScenarioSet& scenarios) {
   std::vector<model::EasyCModel> models;
   std::vector<uint64_t> scenario_fps;
   models.reserve(scenarios.size());
@@ -419,7 +491,7 @@ EditionAssessment AssessmentEngine::assess(
     scenario_fps.push_back(spec.fingerprint());
   }
   EditionAssessment out;
-  assess_edition(records, scenarios, models, scenario_fps, out);
+  assess_edition(records, record_fps, scenarios, models, scenario_fps, out);
   return out;
 }
 

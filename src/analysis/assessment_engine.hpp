@@ -124,6 +124,18 @@ class AssessmentEngine {
   /// label/turnover bookkeeping.
   EditionAssessment assess(const std::vector<top500::SystemRecord>& records,
                            const ScenarioSet& scenarios);
+  /// assess() with the records' fingerprints computed once by the
+  /// caller (a sweep reuses them for every block): `record_fps` must be
+  /// record_fingerprints(records).
+  EditionAssessment assess(const std::vector<top500::SystemRecord>& records,
+                           const std::vector<uint64_t>& record_fps,
+                           const ScenarioSet& scenarios);
+
+  /// Each record's content_fingerprint() — its half of a memo key —
+  /// computed on the engine's pool; empty when the cache is disabled,
+  /// where nothing is keyed.
+  std::vector<uint64_t> record_fingerprints(
+      const std::vector<top500::SystemRecord>& records) const;
 
   const Options& options() const { return options_; }
   par::CacheStats cache_stats() const { return cache_.stats(); }
@@ -180,6 +192,7 @@ class AssessmentEngine {
   };
 
   void assess_edition(const std::vector<top500::SystemRecord>& records,
+                      const std::vector<uint64_t>& record_fps,
                       const ScenarioSet& scenarios,
                       const std::vector<model::EasyCModel>& models,
                       const std::vector<uint64_t>& scenario_fps,

@@ -853,6 +853,9 @@ SweepReport SweepEngine::run_round(
 
   SweepReduction reduction(streaming);
   const par::CacheStats before = options_.engine->cache_stats();
+  // The records are the same in every block: fingerprint them once.
+  const std::vector<uint64_t> record_fps =
+      options_.engine->record_fingerprints(records);
 
   if (options_.retain_cells) report.cells.reserve(expansion.size());
   size_t cell_index = 0;
@@ -861,7 +864,8 @@ SweepReport SweepEngine::run_round(
     const size_t end = std::min(start + batch_size, expansion.size());
     for (size_t i = start; i < end; ++i) batch.add(expansion.cell(i));
 
-    EditionAssessment assessed = options_.engine->assess(records, batch);
+    EditionAssessment assessed =
+        options_.engine->assess(records, record_fps, batch);
     ++report.batches;
     for (auto& r : assessed.scenarios) {
       SweepCell cell = make_sweep_cell(r);

@@ -324,12 +324,15 @@ size_t run_sweep_shard(SweepEngine& engine,
   SweepReduction reduction(streaming);
   {
     BinaryCellSink cells(out);
+    const std::vector<uint64_t> record_fps =
+        engine.engine().record_fingerprints(records);
     size_t index = begin;
     for (size_t start = begin; start < end; start += batch_size) {
       ScenarioSet batch;
       const size_t stop = std::min(start + batch_size, end);
       for (size_t i = start; i < stop; ++i) batch.add(expansion.cell(i));
-      EditionAssessment assessed = engine.engine().assess(records, batch);
+      EditionAssessment assessed =
+          engine.engine().assess(records, record_fps, batch);
       for (auto& r : assessed.scenarios) {
         const SweepCell cell = make_sweep_cell(r);
         const size_t i = index++;

@@ -31,10 +31,17 @@ SystemAssessment render_assessment(const CellValue& cell,
 
 std::vector<SystemAssessment> EasyCModel::assess_all(
     const std::vector<Inputs>& inputs, par::ThreadPool* pool) const {
-  std::vector<SystemAssessment> out(inputs.size());
+  // Fill the compact cells in parallel, then render each in input
+  // order: no placeholder SystemAssessment is built to be overwritten.
+  std::vector<CellValue> cells(inputs.size());
   par::parallel_for(pool ? *pool : par::ThreadPool::global(), 0,
                     inputs.size(),
-                    [&](size_t i) { out[i] = assess(inputs[i]); });
+                    [&](size_t i) { cells[i] = assess_cell(inputs[i]); });
+  std::vector<SystemAssessment> out;
+  out.reserve(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    out.push_back(render_assessment(cells[i], inputs[i]));
+  }
   return out;
 }
 

@@ -17,12 +17,24 @@
 // the hot working set resident under pressure and makes the victim
 // deterministic for the eviction accounting.
 //
-// Each stripe is a slab: entries live in one array, linked into
-// recency order by index, and an open-addressing index (linear probing,
-// backward-shift deletion) maps a key to its slot. An insert appends
-// to the array (amortized, no per-entry node), an eviction reuses the
-// victim's slot, and teardown frees a few arrays instead of a node per
-// entry. Nothing is pre-sized: an empty cache owns no storage.
+// Each stripe is a slab: entries live in fixed-size chunks that never
+// move, linked into recency order by index, and an open-addressing
+// index (linear probing, backward-shift deletion) maps a key to its
+// slot. An insert takes the next slot of the last chunk (a new chunk
+// when it is full — earlier slots are never copied or re-faulted), an
+// eviction reuses the victim's slot, and teardown frees a few chunks
+// instead of a node per entry. Nothing is pre-sized: an empty cache
+// owns no storage.
+//
+// Bulk callers use lookup_many() / insert_many(): a run of keys is
+// hashed once and bucketed by stripe with a stable counting sort, each
+// stripe's lock is taken once per run (at most kRunKeys keys, so a
+// lock is never held long; a stripe another thread holds is left for a
+// second sweep), and the index bucket of a key a few places ahead is
+// prefetched while the current one probes. Per stripe, a run
+// has exactly the effect of the same calls made one key at a time in
+// the caller's order; lookup() and insert() are one-key runs through
+// the same code.
 //
 // The table can be persisted: snapshot() serializes every entry under
 // the stripe locks behind a checksummed, versioned header, and
@@ -33,8 +45,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -96,25 +110,9 @@ class ShardedCache {
   /// or one miss; on a capacity-bounded cache a hit also refreshes the
   /// entry's recency.
   bool lookup(const Key& key, Value& out) const {
-    const size_t h = Hash{}(key);
-    const Shard& shard = shards_[h % shards_.size()];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const uint32_t slot = shard.find(key, hash32(h));
-    if (slot == kNil) {
-      ++shard.misses;
-      return false;
-    }
-    // Recency only matters when eviction can happen; unbounded caches
-    // skip the relink on the hot memoization path (their snapshot
-    // order degrades to insertion order, which restore() handles
-    // identically).
-    if (per_shard_cap_ != 0) {
-      shard.unlink(slot);
-      shard.link_front(slot);
-    }
-    out = shard.slots[slot].value;
-    ++shard.hits;
-    return true;
+    return lookup_many(
+               1, [&](size_t) -> const Key& { return key; },
+               [&](size_t, const Value& v) { out = v; }) == 1;
   }
 
   /// Memoize `value` for `key`. First writer wins: if the key is
@@ -123,26 +121,67 @@ class ShardedCache {
   /// refreshed — only real lookups are uses). At capacity, the shard's
   /// least-recently-used entry is evicted and its slot reused.
   void insert(const Key& key, Value value) {
-    const size_t h = Hash{}(key);
-    Shard& shard = shards_[h % shards_.size()];
-    const uint32_t hk = hash32(h);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.find(key, hk) != kNil) return;
-    uint32_t slot;
-    if (per_shard_cap_ != 0 && shard.slots.size() >= per_shard_cap_) {
-      slot = shard.tail;
-      shard.erase_index(slot);
-      shard.unlink(slot);
-      shard.slots[slot].key = key;
-      shard.slots[slot].value = std::move(value);
-      ++shard.evictions;
-    } else {
-      slot = static_cast<uint32_t>(shard.slots.size());
-      shard.slots.push_back(Slot{key, std::move(value), kNil, kNil, hk});
-    }
-    shard.slots[slot].hash = hk;
-    shard.link_front(slot);
-    shard.index_insert(slot);
+    insert_many(
+        1, [&](size_t) -> const Key& { return key; },
+        [&](size_t) -> Value&& { return std::move(value); });
+  }
+
+  /// lookup() of key_at(0) .. key_at(n - 1): each resident key's value
+  /// is passed to on_hit(i, value), under its stripe's lock, so on_hit
+  /// should only copy it out and must not call back into the cache.
+  /// Counters and recency move exactly as n lookup() calls in index
+  /// order would. Returns the number of hits.
+  template <typename KeyAt, typename OnHit>
+  size_t lookup_many(size_t n, KeyAt&& key_at, OnHit&& on_hit) const {
+    size_t hits = 0;
+    for_each_by_stripe(n, key_at, [&](size_t s, size_t i, uint32_t hk) {
+      const Shard& shard = shards_[s];
+      const uint32_t slot = shard.find(key_at(i), hk);
+      if (slot == kNil) {
+        ++shard.misses;
+        return;
+      }
+      // Recency only matters when eviction can happen; unbounded caches
+      // skip the relink on the hot memoization path (their snapshot
+      // order degrades to insertion order, which restore() handles
+      // identically).
+      if (per_shard_cap_ != 0) {
+        shard.unlink(slot);
+        shard.link_front(slot);
+      }
+      ++shard.hits;
+      ++hits;
+      on_hit(i, shard.at(slot).value);
+    });
+    return hits;
+  }
+
+  /// insert() of (key_at(i), value_at(i)) for i in [0, n), with the
+  /// same effect as n insert() calls in index order. value_at(i) is
+  /// called, under the stripe's lock, only for a key that is actually
+  /// stored; like on_hit it must not call back into the cache.
+  template <typename KeyAt, typename ValueAt>
+  void insert_many(size_t n, KeyAt&& key_at, ValueAt&& value_at) {
+    for_each_by_stripe(n, key_at, [&](size_t s, size_t i, uint32_t hk) {
+      Shard& shard = shards_[s];
+      const Key& key = key_at(i);
+      if (shard.find(key, hk) != kNil) return;
+      uint32_t slot;
+      if (per_shard_cap_ != 0 && shard.count >= per_shard_cap_) {
+        slot = shard.tail;
+        shard.erase_index(slot);
+        shard.unlink(slot);
+        ++shard.evictions;
+      } else {
+        slot = shard.add_slot();
+      }
+      Slot& entry = shard.at(slot);
+      entry.key = key;
+      entry.value = value_at(i);
+      entry.hash = hk;
+      shard.link_front(slot);
+      shard.index_insert(slot);
+    });
   }
 
   /// lookup(); on miss, compute (outside any lock — `make` may be
@@ -161,7 +200,7 @@ class ShardedCache {
     size_t n = 0;
     for (const Shard& s : shards_) {
       std::lock_guard<std::mutex> lock(s.mu);
-      n += s.slots.size();
+      n += s.count;
     }
     return n;
   }
@@ -172,8 +211,9 @@ class ShardedCache {
   void clear() {
     for (Shard& s : shards_) {
       std::lock_guard<std::mutex> lock(s.mu);
-      std::vector<Slot>().swap(s.slots);
+      std::vector<std::unique_ptr<Slot[]>>().swap(s.chunks);
       std::vector<Bucket>().swap(s.index);
+      s.count = 0;
       s.head = s.tail = kNil;
     }
   }
@@ -185,7 +225,7 @@ class ShardedCache {
       out.hits += s.hits;
       out.misses += s.misses;
       out.evictions += s.evictions;
-      out.entries += s.slots.size();
+      out.entries += s.count;
     }
     return out;
   }
@@ -212,9 +252,9 @@ class ShardedCache {
     uint64_t count = 0;
     for (const Shard& s : shards_) {
       std::lock_guard<std::mutex> lock(s.mu);
-      for (uint32_t i = s.tail; i != kNil; i = s.slots[i].prev) {
-        encode_key(payload, s.slots[i].key);
-        encode_value(payload, s.slots[i].value);
+      for (uint32_t i = s.tail; i != kNil; i = s.at(i).prev) {
+        encode_key(payload, s.at(i).key);
+        encode_value(payload, s.at(i).value);
         ++count;
       }
     }
@@ -280,6 +320,11 @@ class ShardedCache {
 
  private:
   static constexpr uint32_t kNil = UINT32_MAX;
+  /// Most keys a bulk call buckets at once, and so the most it handles
+  /// under one stripe lock; longer calls run in several runs.
+  static constexpr size_t kRunKeys = 128;
+  /// How many keys ahead of the probing one a run prefetches.
+  static constexpr size_t kPrefetchAhead = 4;
 
   /// The 32 hash bits a stripe indexes by: the top bits pick the home
   /// bucket, all of them pre-filter key compares. Mixed from the full
@@ -297,18 +342,25 @@ class ShardedCache {
     uint32_t hash = 0;     ///< hash32(key)
   };
 
+  /// Slots per slab chunk: the largest power of two that fits 64 KiB
+  /// (256 memo cells), at least 16.
+  static constexpr uint32_t kChunkShift = static_cast<uint32_t>(
+      std::bit_width(std::max<size_t>(16, 65536 / sizeof(Slot))) - 1);
+  static constexpr uint32_t kChunkMask = (uint32_t{1} << kChunkShift) - 1;
+
   /// Index bucket: slot + 1 (0 = empty) and the slot's hash32.
   struct Bucket {
     uint32_t slot1 = 0;
     uint32_t hash = 0;
   };
 
-  /// One stripe. Everything is guarded by `mu`; the recency links and
-  /// counters are mutable so a const lookup can refresh and count under
-  /// the lock.
+  /// One stripe. Everything is guarded by `mu`. A const lookup refreshes
+  /// and counts under the lock: slots are reached through the chunk
+  /// pointers, and the list ends and counters are mutable.
   struct Shard {
     mutable std::mutex mu;
-    mutable std::vector<Slot> slots;
+    std::vector<std::unique_ptr<Slot[]>> chunks;
+    uint32_t count = 0;         ///< slots in use
     std::vector<Bucket> index;  ///< power-of-two size, at most half full
     mutable uint32_t head = kNil;  ///< most recently used
     mutable uint32_t tail = kNil;  ///< least recently used
@@ -316,9 +368,26 @@ class ShardedCache {
     mutable uint64_t misses = 0;
     uint64_t evictions = 0;
 
+    Slot& at(uint32_t slot) const {
+      return chunks[slot >> kChunkShift][slot & kChunkMask];
+    }
+
+    /// The next unused slot, in a new chunk when the last one is full.
+    uint32_t add_slot() {
+      if ((count & kChunkMask) == 0) {
+        chunks.push_back(
+            std::make_unique_for_overwrite<Slot[]>(size_t{1} << kChunkShift));
+      }
+      return count++;
+    }
+
     size_t home(uint32_t hash) const {
       return static_cast<size_t>(hash) >>
              (32 - std::countr_zero(index.size()));
+    }
+
+    void prefetch_home(uint32_t hash) const {
+      if (!index.empty()) __builtin_prefetch(&index[home(hash)]);
     }
 
     uint32_t find(const Key& key, uint32_t hash) const {
@@ -327,7 +396,7 @@ class ShardedCache {
       for (size_t b = home(hash);; b = (b + 1) & mask) {
         const Bucket& bucket = index[b];
         if (bucket.slot1 == 0) return kNil;
-        if (bucket.hash == hash && slots[bucket.slot1 - 1].key == key) {
+        if (bucket.hash == hash && at(bucket.slot1 - 1).key == key) {
           return bucket.slot1 - 1;
         }
       }
@@ -336,14 +405,14 @@ class ShardedCache {
     /// Index `slot` (its key is known absent), growing the index first
     /// when it would pass half full.
     void index_insert(uint32_t slot) {
-      if (2 * slots.size() > index.size()) {
+      if (2 * size_t{count} > index.size()) {
         std::vector<Bucket> old(std::max<size_t>(8, 2 * index.size()));
         old.swap(index);
         for (const Bucket& b : old) {
           if (b.slot1 != 0) place(b);
         }
       }
-      place(Bucket{slot + 1, slots[slot].hash});
+      place(Bucket{slot + 1, at(slot).hash});
     }
 
     void place(Bucket bucket) {
@@ -357,7 +426,7 @@ class ShardedCache {
     /// probe run back so lookups never need tombstones.
     void erase_index(uint32_t slot) {
       const size_t mask = index.size() - 1;
-      size_t hole = home(slots[slot].hash);
+      size_t hole = home(at(slot).hash);
       while (index[hole].slot1 != slot + 1) hole = (hole + 1) & mask;
       for (size_t b = (hole + 1) & mask; index[b].slot1 != 0;
            b = (b + 1) & mask) {
@@ -373,27 +442,109 @@ class ShardedCache {
     }
 
     void link_front(uint32_t slot) const {
-      slots[slot].prev = kNil;
-      slots[slot].next = head;
-      if (head != kNil) slots[head].prev = slot;
+      Slot& s = at(slot);
+      s.prev = kNil;
+      s.next = head;
+      if (head != kNil) at(head).prev = slot;
       head = slot;
       if (tail == kNil) tail = slot;
     }
 
     void unlink(uint32_t slot) const {
-      Slot& s = slots[slot];
+      const Slot& s = at(slot);
       if (s.prev != kNil) {
-        slots[s.prev].next = s.next;
+        at(s.prev).next = s.next;
       } else {
         head = s.next;
       }
       if (s.next != kNil) {
-        slots[s.next].prev = s.prev;
+        at(s.next).prev = s.prev;
       } else {
         tail = s.prev;
       }
     }
   };
+
+  /// Bucketing arrays of the bulk calls, one set per thread, so a call
+  /// allocates nothing once its thread has made a first one.
+  struct RunBuckets {
+    std::vector<uint32_t> stripe_end;  ///< counting-sort cursors
+    std::vector<uint32_t> busy;        ///< stripes left for the second sweep
+    std::array<uint32_t, kRunKeys> stripe{};
+    std::array<uint32_t, kRunKeys> hash{};
+    std::array<uint32_t, kRunKeys> order{};
+  };
+  static RunBuckets& run_buckets() {
+    thread_local RunBuckets run;
+    return run;
+  }
+
+  /// Call visit(stripe, i, hash32) for every i in [0, n) with the
+  /// stripe of key_at(i) locked. Keys are taken in runs of kRunKeys:
+  /// each run is hashed once and bucketed by stripe with a stable
+  /// counting sort, and each stripe it touches is locked once, its keys
+  /// visited in index order while the home bucket of a key
+  /// kPrefetchAhead places on is prefetched. A stripe another thread
+  /// holds is skipped and taken on a second sweep, so concurrent runs
+  /// do not queue behind each other stripe after stripe.
+  template <typename KeyAt, typename Visit>
+  void for_each_by_stripe(size_t n, KeyAt& key_at, Visit&& visit) const {
+    const size_t num_shards = shards_.size();
+    if (n == 1) {
+      const size_t h = Hash{}(key_at(0));
+      const size_t s = h % num_shards;
+      std::lock_guard<std::mutex> lock(shards_[s].mu);
+      visit(s, 0, hash32(h));
+      return;
+    }
+    RunBuckets& run = run_buckets();
+    for (size_t base = 0; base < n; base += kRunKeys) {
+      const size_t m = std::min(kRunKeys, n - base);
+      run.stripe_end.assign(num_shards + 1, 0);
+      for (size_t k = 0; k < m; ++k) {
+        const size_t h = Hash{}(key_at(base + k));
+        run.stripe[k] = static_cast<uint32_t>(h % num_shards);
+        run.hash[k] = hash32(h);
+        ++run.stripe_end[run.stripe[k] + 1];
+      }
+      for (size_t s = 1; s <= num_shards; ++s) {
+        run.stripe_end[s] += run.stripe_end[s - 1];
+      }
+      // Placing advances each stripe's cursor from its first position
+      // to one past its last, so stripe s then spans
+      // [stripe_end[s - 1], stripe_end[s]) (from 0 for stripe 0).
+      for (size_t k = 0; k < m; ++k) {
+        run.order[run.stripe_end[run.stripe[k]]++] = static_cast<uint32_t>(k);
+      }
+      auto visit_stripe = [&](size_t s) {
+        const Shard& shard = shards_[s];
+        const uint32_t last = run.stripe_end[s];
+        for (uint32_t j = s == 0 ? 0 : run.stripe_end[s - 1]; j < last; ++j) {
+          if (j + kPrefetchAhead < last) {
+            shard.prefetch_home(run.hash[run.order[j + kPrefetchAhead]]);
+          }
+          const uint32_t k = run.order[j];
+          visit(s, base + k, run.hash[k]);
+        }
+      };
+      run.busy.clear();
+      for (size_t s = 0; s < num_shards; ++s) {
+        if (run.stripe_end[s] == (s == 0 ? 0 : run.stripe_end[s - 1])) {
+          continue;
+        }
+        std::unique_lock<std::mutex> lock(shards_[s].mu, std::try_to_lock);
+        if (lock.owns_lock()) {
+          visit_stripe(s);
+        } else {
+          run.busy.push_back(static_cast<uint32_t>(s));
+        }
+      }
+      for (const uint32_t s : run.busy) {
+        std::lock_guard<std::mutex> lock(shards_[s].mu);
+        visit_stripe(s);
+      }
+    }
+  }
 
   std::vector<Shard> shards_;
   size_t per_shard_cap_ = 0;
