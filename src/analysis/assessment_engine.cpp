@@ -36,13 +36,6 @@ int covered_count(const CarbonSeries& s) {
   return n;
 }
 
-// Derive the series and coverage views from a scenario's assessments.
-void finalize_scenario(ScenarioResults& r) {
-  r.operational = operational_series(r.assessments);
-  r.embodied = embodied_series(r.assessments);
-  r.coverage = count_coverage(r.assessments);
-}
-
 // The SoA kernel's win is amortization: one profile resolution per
 // distinct (visibility, record) shared by every scenario lane that
 // reads it. It is engaged when the set averages at least two lanes per
@@ -50,20 +43,26 @@ void finalize_scenario(ScenarioResults& r) {
 // visibility each) batching is pure overhead and the scalar path wins.
 // The two kernels are byte-identical per cell (batch_kernel_test), so
 // the choice only moves time.
-bool use_soa_kernel(const ScenarioSet& scenarios) {
+bool use_soa_kernel(std::span<const ScenarioSpec> specs) {
   bool seen[top500::kNumDataVisibilities] = {};
   size_t distinct = 0;
-  for (const auto& spec : scenarios.specs()) {
+  for (const auto& spec : specs) {
     const auto vis = static_cast<size_t>(spec.visibility);
     if (!seen[vis]) {
       seen[vis] = true;
       ++distinct;
     }
   }
-  return scenarios.size() >= 2 * distinct;
+  return specs.size() >= 2 * distinct;
 }
 
 }  // namespace
+
+void ScenarioResults::finalize() {
+  operational = operational_series(assessments);
+  embodied = embodied_series(assessments);
+  coverage = count_coverage(assessments);
+}
 
 double ScenarioResults::total(bool operational_side) const {
   return covered_sum(operational_side ? operational : embodied);
@@ -159,7 +158,8 @@ std::vector<uint64_t> AssessmentEngine::record_fingerprints(
 // One edition's wavefront: all (scenario, record) cells flattened into
 // parallel grids. A cell first consults the memo table; only a miss
 // pays for the visibility projection and the model. Each cell writes
-// its own slot, so results are bit-identical for any pool size. The
+// its own slot, rows[s][i], so results are bit-identical for any pool
+// size and whichever buffer the rows point into. The
 // memo is read and written in bulk runs (ShardedCache::lookup_many /
 // insert_many: one lock per stripe per run). With the cache disabled
 // the same grids run with every cell a miss: no lookups, no publishes.
@@ -173,27 +173,25 @@ std::vector<uint64_t> AssessmentEngine::record_fingerprints(
 // deterministic for every pool size.
 void AssessmentEngine::assess_edition(
     const std::vector<top500::SystemRecord>& records,
-    const std::vector<uint64_t>& record_fps, const ScenarioSet& scenarios,
-    const std::vector<model::EasyCModel>& models,
-    const std::vector<uint64_t>& scenario_fps, EditionAssessment& out) {
+    const std::vector<uint64_t>& record_fps,
+    std::span<const ScenarioSpec> specs, model::CellValue* const* rows) {
   par::ThreadPool& pool =
       options_.pool ? *options_.pool : par::ThreadPool::global();
-  const size_t num_scenarios = scenarios.size();
+  const size_t num_scenarios = specs.size();
   const size_t num_records = records.size();
   const bool cached = options_.cache_enabled;
   EASYC_REQUIRE(!cached || record_fps.size() == num_records,
                 "one record fingerprint per record");
-
-  out.scenarios.resize(num_scenarios);
-  for (size_t s = 0; s < num_scenarios; ++s) {
-    out.scenarios[s].spec = scenarios.specs()[s];
-    out.scenarios[s].assessments.resize(num_records);
-  }
-  out.perf_pflops = 0.0;
-  for (const auto& r : records) {
-    out.perf_pflops += r.rmax_tflops / util::kTFlopsPerPFlop;
-  }
   if (num_scenarios == 0 || num_records == 0) return;
+
+  std::vector<model::EasyCModel> models;
+  std::vector<uint64_t> scenario_fps;
+  models.reserve(num_scenarios);
+  scenario_fps.reserve(num_scenarios);
+  for (const auto& spec : specs) {
+    models.emplace_back(spec.to_options());
+    scenario_fps.push_back(spec.fingerprint());
+  }
 
   std::vector<size_t> primaries;
   std::vector<size_t> aliases;
@@ -217,8 +215,7 @@ void AssessmentEngine::assess_edition(
                      scenario_fps[scenario_indices[cell / num_records]]};
     };
     auto slot = [&](size_t cell) -> model::CellValue& {
-      return out.scenarios[scenario_indices[cell / num_records]]
-          .assessments[cell % num_records];
+      return rows[scenario_indices[cell / num_records]][cell % num_records];
     };
     const size_t ntasks = (ngrid + kScalarTaskCells - 1) / kScalarTaskCells;
     par::parallel_for(pool, 0, ntasks, [&](size_t t) {
@@ -240,8 +237,7 @@ void AssessmentEngine::assess_edition(
         const size_t cell = first + k;
         const size_t s = scenario_indices[cell / num_records];
         slot(cell) = models[s].assess_cell(
-            to_inputs(records[cell % num_records],
-                      scenarios.specs()[s].visibility));
+            to_inputs(records[cell % num_records], specs[s].visibility));
         missed[num_missed++] = static_cast<uint8_t>(k);
       }
       if (cached) {
@@ -272,16 +268,15 @@ void AssessmentEngine::assess_edition(
       // interactive requests do not queue behind a bulk block's whole
       // lookup pass.
       constexpr size_t kLookupTaskCells = 512;
-      const size_t rows = scenario_indices.size();
+      const size_t nrows = scenario_indices.size();
       const size_t rows_per_task =
           std::max<size_t>(1, kLookupTaskCells / num_records);
-      const size_t ntasks = (rows + rows_per_task - 1) / rows_per_task;
+      const size_t ntasks = (nrows + rows_per_task - 1) / rows_per_task;
       par::parallel_for_interleaved(pool, 0, ntasks, [&](size_t t) {
         for (size_t g = t * rows_per_task;
-             g < std::min(rows, (t + 1) * rows_per_task); ++g) {
+             g < std::min(nrows, (t + 1) * rows_per_task); ++g) {
           const uint64_t scenario_fp = scenario_fps[scenario_indices[g]];
-          model::CellValue* row =
-              out.scenarios[scenario_indices[g]].assessments.data();
+          model::CellValue* row = rows[scenario_indices[g]];
           uint8_t* row_hit = hit.data() + g * num_records;
           cache_.lookup_many(
               num_records,
@@ -293,8 +288,8 @@ void AssessmentEngine::assess_edition(
         }
       });
     }
-    // Serial scan keeps profile ids and lane order deterministic;
-    // projection of the distinct misses is parallel.
+    // Serial scan keeps profile ids and lane order deterministic; the
+    // distinct misses are projected and resolved in one parallel pass.
     std::vector<std::pair<size_t, size_t>> need;  // (visibility, record)
     std::vector<model::BatchAssessor::Cell> cells;
     std::vector<uint32_t> cell_records;  // parallel to `cells`
@@ -303,7 +298,7 @@ void AssessmentEngine::assess_edition(
     std::vector<size_t> job_offset;
     for (size_t g = 0; g < scenario_indices.size(); ++g) {
       const size_t s = scenario_indices[g];
-      const auto vis = static_cast<size_t>(scenarios.specs()[s].visibility);
+      const auto vis = static_cast<size_t>(specs[s].visibility);
       const size_t first = cells.size();
       for (size_t i = 0; i < num_records; ++i) {
         if (hit[g * num_records + i]) continue;
@@ -313,8 +308,7 @@ void AssessmentEngine::assess_edition(
               static_cast<int64_t>(batch.num_profiles() + need.size());
           need.emplace_back(vis, i);
         }
-        cells.push_back({static_cast<size_t>(pid[vis][i]),
-                         &out.scenarios[s].assessments[i]});
+        cells.push_back({static_cast<size_t>(pid[vis][i]), &rows[s][i]});
         cell_records.push_back(static_cast<uint32_t>(i));
       }
       if (cells.size() == first) continue;
@@ -326,14 +320,13 @@ void AssessmentEngine::assess_edition(
     for (size_t j = 0; j < jobs.size(); ++j) {
       jobs[j].cells = cells.data() + job_offset[j];
     }
-    std::vector<model::Inputs> projected(need.size());
-    par::parallel_for(pool, 0, need.size(), [&](size_t k) {
-      projected[k] =
-          to_inputs(records[need[k].second],
-                    static_cast<top500::DataVisibility>(need[k].first));
-    });
-    for (auto& in : projected) batch.add_profile(std::move(in));
-    batch.resolve_profiles(&pool);
+    batch.add_profiles(
+        need.size(),
+        [&](size_t k) {
+          return to_inputs(records[need[k].second],
+                           static_cast<top500::DataVisibility>(need[k].first));
+        },
+        &pool);
     model::BatchAssessor::Publish publish;
     if (cached) {
       publish = [&](size_t j, size_t begin, size_t end) {
@@ -352,7 +345,7 @@ void AssessmentEngine::assess_edition(
     }
     batch.assess(jobs, &pool, publish);
   };
-  if (use_soa_kernel(scenarios)) {
+  if (use_soa_kernel(specs)) {
     run_grid_soa(primaries);
     if (!aliases.empty()) run_grid_soa(aliases);
     add_batch_stats(batch.stats());
@@ -360,22 +353,42 @@ void AssessmentEngine::assess_edition(
     run_grid(primaries);
     if (!aliases.empty()) run_grid(aliases);
   }
+}
 
-  for (auto& r : out.scenarios) finalize_scenario(r);
+void AssessmentEngine::fill_edition(
+    const std::vector<top500::SystemRecord>& records,
+    const std::vector<uint64_t>& record_fps, const ScenarioSet& scenarios,
+    EditionAssessment& out) {
+  out.perf_pflops = 0.0;
+  for (const auto& r : records) {
+    out.perf_pflops += r.rmax_tflops / util::kTFlopsPerPFlop;
+  }
+  const size_t num_scenarios = scenarios.size();
+  out.scenarios.resize(num_scenarios);
+  std::vector<model::CellValue*> rows(num_scenarios);
+  for (size_t s = 0; s < num_scenarios; ++s) {
+    out.scenarios[s].spec = scenarios.specs()[s];
+    out.scenarios[s].assessments.resize(records.size());
+    rows[s] = out.scenarios[s].assessments.data();
+  }
+  assess_edition(records, record_fps, scenarios.specs(), rows.data());
+  for (auto& r : out.scenarios) r.finalize();
+}
+
+void AssessmentEngine::assess_rows(
+    const std::vector<top500::SystemRecord>& records,
+    const std::vector<uint64_t>& record_fps,
+    std::span<const ScenarioSpec> specs, model::CellValue* grid) {
+  std::vector<model::CellValue*> rows(specs.size());
+  for (size_t s = 0; s < specs.size(); ++s) {
+    rows[s] = grid + s * records.size();
+  }
+  assess_edition(records, record_fps, specs, rows.data());
 }
 
 std::vector<EditionAssessment> AssessmentEngine::run(
     const std::vector<top500::ListEdition>& editions,
     const ScenarioSet& scenarios) {
-  std::vector<model::EasyCModel> models;
-  std::vector<uint64_t> scenario_fps;
-  models.reserve(scenarios.size());
-  scenario_fps.reserve(scenarios.size());
-  for (const auto& spec : scenarios.specs()) {
-    models.emplace_back(spec.to_options());
-    scenario_fps.push_back(spec.fingerprint());
-  }
-
   // Editions run as ordered wavefronts (each internally parallel):
   // edition k's survivors then hit the entries edition k-1 inserted,
   // guaranteeing each surviving system is assessed exactly once and
@@ -384,9 +397,8 @@ std::vector<EditionAssessment> AssessmentEngine::run(
   for (size_t e = 0; e < editions.size(); ++e) {
     out[e].label = editions[e].label;
     out[e].num_new = editions[e].num_new;
-    assess_edition(editions[e].records,
-                   record_fingerprints(editions[e].records), scenarios,
-                   models, scenario_fps, out[e]);
+    fill_edition(editions[e].records,
+                 record_fingerprints(editions[e].records), scenarios, out[e]);
   }
   return out;
 }
@@ -476,22 +488,8 @@ size_t AssessmentEngine::load_cache(const std::string& path) {
 EditionAssessment AssessmentEngine::assess(
     const std::vector<top500::SystemRecord>& records,
     const ScenarioSet& scenarios) {
-  return assess(records, record_fingerprints(records), scenarios);
-}
-
-EditionAssessment AssessmentEngine::assess(
-    const std::vector<top500::SystemRecord>& records,
-    const std::vector<uint64_t>& record_fps, const ScenarioSet& scenarios) {
-  std::vector<model::EasyCModel> models;
-  std::vector<uint64_t> scenario_fps;
-  models.reserve(scenarios.size());
-  scenario_fps.reserve(scenarios.size());
-  for (const auto& spec : scenarios.specs()) {
-    models.emplace_back(spec.to_options());
-    scenario_fps.push_back(spec.fingerprint());
-  }
   EditionAssessment out;
-  assess_edition(records, record_fps, scenarios, models, scenario_fps, out);
+  fill_edition(records, record_fingerprints(records), scenarios, out);
   return out;
 }
 

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,6 +57,9 @@ struct ScenarioResults {
   CarbonSeries operational;  ///< MT CO2e, rank order
   CarbonSeries embodied;
   CoverageCounts coverage;
+
+  /// Derive `operational`, `embodied` and `coverage` from `assessments`.
+  void finalize();
 
   double total(bool operational_side) const;   ///< sum of covered systems
   double average(bool operational_side) const; ///< mean over covered
@@ -124,12 +128,18 @@ class AssessmentEngine {
   /// label/turnover bookkeeping.
   EditionAssessment assess(const std::vector<top500::SystemRecord>& records,
                            const ScenarioSet& scenarios);
-  /// assess() with the records' fingerprints computed once by the
-  /// caller (a sweep reuses them for every block): `record_fps` must be
-  /// record_fingerprints(records).
-  EditionAssessment assess(const std::vector<top500::SystemRecord>& records,
-                           const std::vector<uint64_t>& record_fps,
-                           const ScenarioSet& scenarios);
+
+  /// The sweep entry point: assess `specs` over `records` straight into
+  /// the caller-owned, row-major `grid` of specs.size() * records.size()
+  /// cells (grid[s * records.size() + i] is spec s on record i). Names
+  /// and descriptions are never read, and no series, coverage or spec
+  /// copy is built. `record_fps` must be record_fingerprints(records),
+  /// computed once by the caller (a sweep reuses them for every block).
+  /// Cells are bit-identical to assess() over the same specs.
+  void assess_rows(const std::vector<top500::SystemRecord>& records,
+                   const std::vector<uint64_t>& record_fps,
+                   std::span<const ScenarioSpec> specs,
+                   model::CellValue* grid);
 
   /// Each record's content_fingerprint() — its half of a memo key —
   /// computed on the engine's pool; empty when the cache is disabled,
@@ -191,12 +201,15 @@ class AssessmentEngine {
     }
   };
 
+  /// Fill rows[s][i] (spec s on record i) for every cell.
   void assess_edition(const std::vector<top500::SystemRecord>& records,
                       const std::vector<uint64_t>& record_fps,
-                      const ScenarioSet& scenarios,
-                      const std::vector<model::EasyCModel>& models,
-                      const std::vector<uint64_t>& scenario_fps,
-                      EditionAssessment& out);
+                      std::span<const ScenarioSpec> specs,
+                      model::CellValue* const* rows);
+  /// assess_edition into `out`'s per-scenario vectors, then finalize.
+  void fill_edition(const std::vector<top500::SystemRecord>& records,
+                    const std::vector<uint64_t>& record_fps,
+                    const ScenarioSet& scenarios, EditionAssessment& out);
 
   using Cache = par::ShardedCache<CellKey, model::CellValue, CellKeyHash>;
 

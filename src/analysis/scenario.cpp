@@ -29,6 +29,24 @@ uint64_t ScenarioSpec::fingerprint() const {
   return fp.value();
 }
 
+const char* spec_value_complaint(const ScenarioSpec& spec) {
+  if (!(spec.service_years > 0.0)) return "service_years must be positive";
+  if (spec.aci_override_g_kwh && *spec.aci_override_g_kwh < 0.0) {
+    return "aci_override_g_kwh must be non-negative";
+  }
+  if (spec.pue_override && *spec.pue_override < 1.0) {
+    return "pue_override must be >= 1 (facility uses at least IT power)";
+  }
+  if (spec.fab_aci_kg_kwh && *spec.fab_aci_kg_kwh < 0.0) {
+    return "fab_aci_kg_kwh must be non-negative";
+  }
+  if (spec.default_utilization && (*spec.default_utilization <= 0.0 ||
+                                   *spec.default_utilization > 1.0)) {
+    return "default_utilization must be in (0,1]";
+  }
+  return nullptr;
+}
+
 namespace scenarios {
 
 ScenarioSpec baseline() {
@@ -110,22 +128,8 @@ ScenarioSet& ScenarioSet::add(ScenarioSpec spec) {
   if (contains(spec.name)) {
     throw util::Error("scenario '" + spec.name + "' already registered");
   }
-  auto reject = [&spec](const char* what) {
-    throw util::Error("scenario '" + spec.name + "': " + what);
-  };
-  if (!(spec.service_years > 0.0)) reject("service_years must be positive");
-  if (spec.aci_override_g_kwh && *spec.aci_override_g_kwh < 0.0) {
-    reject("aci_override_g_kwh must be non-negative");
-  }
-  if (spec.pue_override && *spec.pue_override < 1.0) {
-    reject("pue_override must be >= 1 (facility uses at least IT power)");
-  }
-  if (spec.fab_aci_kg_kwh && *spec.fab_aci_kg_kwh < 0.0) {
-    reject("fab_aci_kg_kwh must be non-negative");
-  }
-  if (spec.default_utilization && (*spec.default_utilization <= 0.0 ||
-                                   *spec.default_utilization > 1.0)) {
-    reject("default_utilization must be in (0,1]");
+  if (const char* complaint = spec_value_complaint(spec)) {
+    throw util::Error("scenario '" + spec.name + "': " + complaint);
   }
   specs_.push_back(std::move(spec));
   return *this;

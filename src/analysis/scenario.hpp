@@ -66,6 +66,12 @@ struct ScenarioSpec {
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
 
+/// The value checks ScenarioSet::add runs (service years, ACI, PUE,
+/// fab intensity, utilization prior): nullptr when `spec`'s values are
+/// valid, else what is wrong. The name is not read, so a sweep's
+/// unnamed cells are checked by the same rules.
+const char* spec_value_complaint(const ScenarioSpec& spec);
+
 /// Built-in specs. `baseline` and `enhanced` are the paper's two
 /// scenarios; the rest are ready-made what-ifs for the knobs procurement
 /// studies keep reaching for.
@@ -99,7 +105,8 @@ class ScenarioSet {
   static ScenarioSet paper_with_whatifs();
 
   /// Register a scenario. Throws util::Error on an empty or duplicate
-  /// name. Returns *this for chaining.
+  /// name, or when spec_value_complaint finds a value out of range.
+  /// Returns *this for chaining.
   ScenarioSet& add(ScenarioSpec spec);
 
   bool contains(std::string_view name) const { return find(name) != nullptr; }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <set>
 #include <utility>
@@ -253,12 +252,15 @@ size_t SweepSpec::total_cells() const {
 
 SweepExpansion::SweepExpansion(SweepSpec spec) : spec_(std::move(spec)) {
   base_label_ = spec_.base.name;
+  unnamed_base_ = spec_.base;
+  unnamed_base_.name.clear();
+  unnamed_base_.description.clear();
 
   // Fail before the first engine call: physical-range and
   // naming-precision violations used to surface from ScenarioSet
   // registration during materialization; the lazy expansion checks the
   // axis lists (the only unbounded input) upfront instead. Per-cell
-  // spec validation still runs when a cell joins a batch ScenarioSet.
+  // spec validation still runs as each cell joins an engine block.
   for (const auto& a : spec_.axes) {
     for (const double v : a.values) {
       if (const char* complaint = axis_range_complaint(a.axis, v)) {
@@ -294,63 +296,112 @@ SweepExpansion::SweepExpansion(SweepSpec spec) : spec_(std::move(spec)) {
            (spec_.monte_carlo ? spec_.monte_carlo->draws : 0);
 }
 
-ScenarioSpec SweepExpansion::cell(size_t index) const {
+SweepExpansion::Position SweepExpansion::locate(size_t index) const {
   EASYC_REQUIRE(index < total_, "sweep cell index out of range");
-  if (index == 0) {
-    ScenarioSpec base = spec_.base;
-    base.name = std::string(kBaseCellName);
-    base.description = "sweep base (" + base_label_ + ")";
-    return base;
-  }
+  if (index == 0) return {SweepCellKind::kBase, 0};
   index -= 1;
-
-  // Tornado endpoints: one axis at its extreme, everything else at base.
-  if (index < endpoints_.size()) {
-    const Endpoint& e = endpoints_[index];
-    ScenarioSpec s = apply_axis(spec_.base, e.axis, e.value);
-    s.name = e.name;
-    s.description = "sweep endpoint: " + std::string(axis_name(e.axis)) +
-                    "=" + format_axis_value(e.value) + " over " + base_label_;
-    return s;
-  }
+  if (index < endpoints_.size()) return {SweepCellKind::kAxisEndpoint, index};
   index -= endpoints_.size();
+  if (index < grid_) return {SweepCellKind::kGrid, index};
+  return {SweepCellKind::kMonteCarlo, index - grid_};
+}
 
-  // The cartesian grid, odometer order (last declared axis fastest).
-  if (index < grid_) {
-    ScenarioSpec s = spec_.base;
-    std::string suffix;
-    for (size_t a = 0; a < spec_.axes.size(); ++a) {
-      const double v = spec_.axes[a].values[grid_value_index(index, a)];
-      s = apply_axis(std::move(s), spec_.axes[a].axis, v);
-      suffix += (a == 0 ? "" : "/") +
-                std::string(axis_name(spec_.axes[a].axis)) + "=" +
-                format_axis_value(v);
+SweepCellKind SweepExpansion::kind(size_t index) const {
+  return locate(index).kind;
+}
+
+std::string SweepExpansion::draw_tag(size_t draw) {
+  char tag[32];
+  std::snprintf(tag, sizeof(tag), "%04zu", draw);
+  return tag;
+}
+
+ScenarioSpec SweepExpansion::unnamed_cell(size_t index) const {
+  const Position pos = locate(index);
+  switch (pos.kind) {
+    case SweepCellKind::kBase:
+      return unnamed_base_;
+    case SweepCellKind::kAxisEndpoint: {
+      // One axis at its extreme, everything else at base.
+      const Endpoint& e = endpoints_[pos.offset];
+      return apply_axis(unnamed_base_, e.axis, e.value);
     }
-    s.name = "sweep/grid/" + suffix;
-    s.description = "sweep grid cell over " + base_label_;
-    return s;
+    case SweepCellKind::kGrid: {
+      // The cartesian grid, odometer order (last declared axis fastest).
+      ScenarioSpec s = unnamed_base_;
+      for (size_t a = 0; a < spec_.axes.size(); ++a) {
+        s = apply_axis(std::move(s), spec_.axes[a].axis,
+                       spec_.axes[a].values[grid_value_index(pos.offset, a)]);
+      }
+      return s;
+    }
+    case SweepCellKind::kMonteCarlo:
+      break;
   }
-  index -= grid_;
-
-  // Seeded Monte-Carlo draw `index` from the uncertainty module's prior
-  // model. Each draw forks its own RNG stream, so draw k is the same
-  // scenario regardless of which other cells are ever derived.
+  // Seeded Monte-Carlo draw from the uncertainty module's prior model.
+  // Each draw forks its own RNG stream, so draw k is the same scenario
+  // regardless of which other cells are ever derived.
   const auto& mc = *spec_.monte_carlo;
-  util::Rng rng = util::Rng(mc.seed).fork(index);
+  util::Rng rng = util::Rng(mc.seed).fork(pos.offset);
   double aci_scale = 1.0;
   const model::EasyCOptions drawn = model::perturb_options(
-      spec_.base.to_options(), mc.ranges, rng, &aci_scale);
-  ScenarioSpec s = spec_.base;
+      unnamed_base_.to_options(), mc.ranges, rng, &aci_scale);
+  ScenarioSpec s = unnamed_base_;
   s.default_utilization = drawn.operational.default_utilization;
   s.fab_aci_kg_kwh = drawn.embodied.fab_aci_kg_kwh;
   if (s.aci_override_g_kwh) {
     s.aci_override_g_kwh = *s.aci_override_g_kwh * aci_scale;
   }
-  char tag[32];
-  std::snprintf(tag, sizeof(tag), "%04zu", index);
-  s.name = std::string("sweep/mc/") + tag;
-  s.description = "prior draw " + std::string(tag) + " (seed " +
-                  std::to_string(mc.seed) + ") over " + base_label_;
+  return s;
+}
+
+std::string SweepExpansion::cell_name(size_t index) const {
+  const Position pos = locate(index);
+  switch (pos.kind) {
+    case SweepCellKind::kBase:
+      return std::string(kBaseCellName);
+    case SweepCellKind::kAxisEndpoint:
+      return endpoints_[pos.offset].name;
+    case SweepCellKind::kGrid: {
+      std::string name = "sweep/grid/";
+      for (size_t a = 0; a < spec_.axes.size(); ++a) {
+        if (a != 0) name += '/';
+        name += axis_name(spec_.axes[a].axis);
+        name += '=';
+        name += format_axis_value(
+            spec_.axes[a].values[grid_value_index(pos.offset, a)]);
+      }
+      return name;
+    }
+    case SweepCellKind::kMonteCarlo:
+      break;
+  }
+  return "sweep/mc/" + draw_tag(pos.offset);
+}
+
+std::string SweepExpansion::cell_description(size_t index) const {
+  const Position pos = locate(index);
+  switch (pos.kind) {
+    case SweepCellKind::kBase:
+      return "sweep base (" + base_label_ + ")";
+    case SweepCellKind::kAxisEndpoint: {
+      const Endpoint& e = endpoints_[pos.offset];
+      return "sweep endpoint: " + std::string(axis_name(e.axis)) + "=" +
+             format_axis_value(e.value) + " over " + base_label_;
+    }
+    case SweepCellKind::kGrid:
+      return "sweep grid cell over " + base_label_;
+    case SweepCellKind::kMonteCarlo:
+      break;
+  }
+  return "prior draw " + draw_tag(pos.offset) + " (seed " +
+         std::to_string(spec_.monte_carlo->seed) + ") over " + base_label_;
+}
+
+ScenarioSpec SweepExpansion::cell(size_t index) const {
+  ScenarioSpec s = unnamed_cell(index);
+  s.name = cell_name(index);
+  s.description = cell_description(index);
   return s;
 }
 
@@ -792,11 +843,96 @@ SweepReport SweepEngine::run(
   return run_round(records, spec, /*round=*/0, sink);
 }
 
+size_t SweepEngine::assess_cells(
+    const std::vector<top500::SystemRecord>& records,
+    const SweepExpansion& expansion, size_t begin, size_t end, bool named,
+    const CellVisitor& visit) {
+  if (begin >= end) return 0;
+  AssessmentEngine& engine = *options_.engine;
+  const size_t batch_size = std::max<size_t>(1, options_.batch_size);
+  const size_t num_records = records.size();
+  // The records are the same in every block: fingerprint them once.
+  const std::vector<uint64_t> record_fps = engine.record_fingerprints(records);
+  const size_t block_cells = std::min(batch_size, end - begin);
+  std::vector<ScenarioSpec> specs;
+  specs.reserve(block_cells);
+  std::vector<model::CellValue> grid(block_cells * num_records);
+  SweepCell cell;
+  size_t blocks = 0;
+  for (size_t start = begin; start < end; start += batch_size) {
+    const size_t stop = std::min(start + batch_size, end);
+    specs.clear();
+    for (size_t i = start; i < stop; ++i) {
+      specs.push_back(expansion.unnamed_cell(i));
+      if (const char* complaint = spec_value_complaint(specs.back())) {
+        throw util::Error("scenario '" + expansion.cell_name(i) +
+                          "': " + complaint);
+      }
+    }
+    engine.assess_rows(records, record_fps, specs, grid.data());
+    ++blocks;
+
+    // Blocks are ordered engine calls, so visiting order is the
+    // expansion order for every thread count / batch size.
+    for (size_t k = 0; k < specs.size(); ++k) {
+      const size_t index = start + k;
+      const ScenarioSpec& spec = specs[k];
+      const model::CellValue* row = grid.data() + k * num_records;
+      cell.kind = expansion.kind(index);
+      const bool endpoint = cell.kind == SweepCellKind::kAxisEndpoint;
+      if (named || endpoint || cell.kind == SweepCellKind::kBase) {
+        cell.name = expansion.cell_name(index);
+        cell.description = expansion.cell_description(index);
+      } else {
+        cell.name.clear();
+        cell.description.clear();
+      }
+      cell.fingerprint = spec.fingerprint();
+      for (size_t a = 0; a < kNumSweepAxes; ++a) {
+        cell.coords[a] = axis_value(spec, static_cast<SweepAxis>(a));
+      }
+      // Record order, covered cells only: the addition order of
+      // ScenarioResults::total, so the sums are bit-identical.
+      double op = 0.0;
+      double emb = 0.0;
+      int op_covered = 0;
+      int emb_covered = 0;
+      for (size_t i = 0; i < num_records; ++i) {
+        if (row[i].operational.ok()) {
+          op += row[i].operational.value().mt_co2e;
+          ++op_covered;
+        }
+        if (row[i].embodied.ok()) {
+          emb += row[i].embodied.value().total_mt;
+          ++emb_covered;
+        }
+      }
+      cell.op_total_mt = op;
+      cell.emb_total_mt = emb;
+      cell.annualized_mt = op + emb / spec.service_years;
+      cell.op_covered = op_covered;
+      cell.emb_covered = emb_covered;
+
+      if (!endpoint) {
+        visit(index, cell, nullptr);
+        continue;
+      }
+      ScenarioResults results;
+      results.spec = spec;
+      results.spec.name = cell.name;
+      results.spec.description = cell.description;
+      results.assessments.assign(row, row + num_records);
+      results.finalize();
+      visit(index, cell, &results);
+    }
+  }
+  return blocks;
+}
+
 SweepReport SweepEngine::run_round(
     const std::vector<top500::SystemRecord>& records, const SweepSpec& spec,
     size_t round, SweepCellSink* sink) {
   const SweepExpansion expansion(spec);
-  const size_t batch_size = std::max<size_t>(1, options_.batch_size);
 
   SweepReport report;
   report.base_name = spec.base.name;
@@ -813,14 +949,11 @@ SweepReport SweepEngine::run_round(
   report.streaming_stats = streaming;
 
   // The tornado reduction needs full per-record series for every
-  // endpoint; everything else is reduced to aggregates as its batch
-  // completes, keeping peak memory at one batch.
+  // endpoint (expansion indices [1, 1 + 2 * endpoints), low then high);
+  // everything else is reduced to aggregates as its block completes,
+  // keeping peak memory at one block.
   const std::vector<TornadoEndpoint> endpoints = tornado_endpoints(spec);
-  std::map<std::string, ScenarioResults> retained;
-  for (const auto& e : endpoints) {
-    retained[e.low_name] = {};
-    retained[e.high_name] = {};
-  }
+  std::vector<ScenarioResults> retained(2 * endpoints.size());
 
   // Grid-marginal accumulators, one per multi-valued axis. Buckets are
   // fed in expansion order, so sums (and the resulting means) are
@@ -853,47 +986,32 @@ SweepReport SweepEngine::run_round(
 
   SweepReduction reduction(streaming);
   const par::CacheStats before = options_.engine->cache_stats();
-  // The records are the same in every block: fingerprint them once.
-  const std::vector<uint64_t> record_fps =
-      options_.engine->record_fingerprints(records);
 
   if (options_.retain_cells) report.cells.reserve(expansion.size());
-  size_t cell_index = 0;
-  for (size_t start = 0; start < expansion.size(); start += batch_size) {
-    ScenarioSet batch;
-    const size_t end = std::min(start + batch_size, expansion.size());
-    for (size_t i = start; i < end; ++i) batch.add(expansion.cell(i));
-
-    EditionAssessment assessed =
-        options_.engine->assess(records, record_fps, batch);
-    ++report.batches;
-    for (auto& r : assessed.scenarios) {
-      SweepCell cell = make_sweep_cell(r);
-      const size_t index = cell_index++;
-      if (index == 0) report.base = cell;
-      reduction.add(cell);
-      if (cell.kind == SweepCellKind::kGrid) {
-        const size_t g = index - expansion.grid_begin();
-        for (auto& acc : marginals) {
-          const size_t si =
-              acc.decl_to_sorted[expansion.grid_value_index(g, acc.axis_pos)];
-          acc.sums[si] += cell.annualized_mt;
-          ++acc.counts[si];
+  report.batches = assess_cells(
+      records, expansion, 0, expansion.size(),
+      /*named=*/sink != nullptr || options_.retain_cells,
+      [&](size_t index, const SweepCell& cell, ScenarioResults* endpoint) {
+        if (index == 0) report.base = cell;
+        reduction.add(cell);
+        if (cell.kind == SweepCellKind::kGrid) {
+          const size_t g = index - expansion.grid_begin();
+          for (auto& acc : marginals) {
+            const size_t si = acc.decl_to_sorted[expansion.grid_value_index(
+                g, acc.axis_pos)];
+            acc.sums[si] += cell.annualized_mt;
+            ++acc.counts[si];
+          }
         }
-      }
-      // Batches are ordered engine calls, so emission order is the
-      // expansion order for every thread count / batch size.
-      if (sink != nullptr) sink->cell(round, index, cell);
-      if (auto it = retained.find(r.spec.name); it != retained.end()) {
-        it->second = std::move(r);
-      }
-      if (options_.retain_cells) report.cells.push_back(std::move(cell));
-    }
-  }
+        if (sink != nullptr) sink->cell(round, index, cell);
+        if (endpoint != nullptr) retained[index - 1] = std::move(*endpoint);
+        if (options_.retain_cells) report.cells.push_back(cell);
+      });
 
-  for (const auto& e : endpoints) {
-    const ScenarioResults& low = retained.at(e.low_name);
-    const ScenarioResults& high = retained.at(e.high_name);
+  for (size_t j = 0; j < endpoints.size(); ++j) {
+    const TornadoEndpoint& e = endpoints[j];
+    const ScenarioResults& low = retained[2 * j];
+    const ScenarioResults& high = retained[2 * j + 1];
     // The Fig.-9 kernel generalizes to any two scenarios over one list:
     // low plays Baseline, high plays Baseline+PublicInfo.
     const SensitivityReport s = sensitivity(records, low, high);

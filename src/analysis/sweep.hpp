@@ -38,6 +38,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -121,6 +122,12 @@ struct SweepSpec {
   size_t total_cells() const;  ///< base + endpoints + grid + Monte-Carlo
 };
 
+/// Which expansion arm produced a cell. Recoverable from the cell's
+/// deterministic name (see cell_kind_from_name) and from its expansion
+/// index (SweepExpansion::kind), tracked explicitly so reductions and
+/// exports never re-parse names.
+enum class SweepCellKind { kBase, kAxisEndpoint, kGrid, kMonteCarlo };
+
 /// Lazy view of a sweep's expansion: derives the i-th ScenarioSpec on
 /// demand instead of materializing all of them, so a million-cell grid
 /// costs index arithmetic plus one spec construction per visited cell —
@@ -134,7 +141,12 @@ struct SweepSpec {
 /// duplicate detection at cell-naming precision) and throws util::Error
 /// — the same failures ScenarioSet registration used to surface, moved
 /// ahead of the first engine call. Per-cell spec validation still runs
-/// when a cell joins a batch ScenarioSet.
+/// as each cell joins an engine block (SweepEngine::assess_cells checks
+/// spec_value_complaint, naming the cell only when it fails).
+///
+/// A cell's assessment spec and its presentation (name, description)
+/// are derived separately: the sweep's blocks run unnamed specs and
+/// format a name only for a cell that needs one.
 class SweepExpansion {
  public:
   explicit SweepExpansion(SweepSpec spec);
@@ -142,8 +154,19 @@ class SweepExpansion {
   size_t size() const { return total_; }
   const SweepSpec& spec() const { return spec_; }
 
-  /// The index-th derived scenario, expansion order. index < size().
+  /// The index-th derived scenario, expansion order, named: equal to
+  /// unnamed_cell(index) with name cell_name(index) and description
+  /// cell_description(index). index < size().
   ScenarioSpec cell(size_t index) const;
+
+  /// The index-th derived scenario with an empty name and description
+  /// — everything the engine reads, and nothing it does not.
+  ScenarioSpec unnamed_cell(size_t index) const;
+  /// The deterministic cell name and description (see expand_sweep).
+  std::string cell_name(size_t index) const;
+  std::string cell_description(size_t index) const;
+  /// Which expansion arm `index` falls in.
+  SweepCellKind kind(size_t index) const;
 
   /// Grid cells occupy expansion indices [grid_begin, grid_begin +
   /// grid_cells). grid_value_index recovers, for grid cell
@@ -164,7 +187,17 @@ class SweepExpansion {
     std::string name;
   };
 
+  /// `index` split into its arm and its position within the arm.
+  struct Position {
+    SweepCellKind kind = SweepCellKind::kBase;
+    size_t offset = 0;
+  };
+  Position locate(size_t index) const;
+  /// Monte-Carlo draw `draw`'s zero-padded tag ("0042").
+  static std::string draw_tag(size_t draw);
+
   SweepSpec spec_;
+  ScenarioSpec unnamed_base_;  ///< spec_.base without name/description
   std::string base_label_;
   std::vector<Endpoint> endpoints_;  ///< low, high per multi-valued axis
   std::vector<size_t> strides_;      ///< odometer stride per axis
@@ -180,11 +213,6 @@ class SweepExpansion {
 /// 1). Convenience for tests and small sweeps; the engine streams
 /// through SweepExpansion and never materializes the full set.
 ScenarioSet expand_sweep(const SweepSpec& spec);
-
-/// Which expansion arm produced a cell. Recoverable from the cell's
-/// deterministic name (see cell_kind_from_name), tracked explicitly so
-/// reductions and exports never re-parse names.
-enum class SweepCellKind { kBase, kAxisEndpoint, kGrid, kMonteCarlo };
 
 /// Export label ("base", "axis", "grid", "mc").
 std::string_view cell_kind_name(SweepCellKind kind);
@@ -216,10 +244,10 @@ struct SweepCell {
   int emb_covered = 0;
 };
 
-/// Reduce one assessed scenario to its SweepCell aggregates — the one
-/// projection both the in-process sweep loop and the shard worker
-/// (sweep_shard.hpp) apply, so a sharded run cannot drift from a
-/// single-process one cell field by cell field.
+/// Reduce one assessed scenario to its SweepCell aggregates. The sweep
+/// loop (SweepEngine::assess_cells, shared by the in-process sweep and
+/// the shard writer) sums the same fields from its block buffer in the
+/// same order, so its cells are bit-identical to this projection.
 SweepCell make_sweep_cell(const ScenarioResults& results);
 
 /// Streaming consumer of per-cell sweep results. `cell` is invoked once
@@ -529,8 +557,8 @@ class SweepEngine {
     /// Pool for the private engine (ignored when `engine` is set).
     par::ThreadPool* pool = nullptr;
     /// Derived scenarios per engine block. Bounds peak memory (one
-    /// block's full per-record results are alive at a time) without
-    /// affecting results: reports are identical for any batch size.
+    /// reused buffer of batch_size x records cells) without affecting
+    /// results: reports are identical for any batch size.
     size_t batch_size = 64;
     /// Reduction mode for the cross-cell distributions (see
     /// SweepStatsMode). kAuto keeps small sweeps byte-identical to the
@@ -570,6 +598,26 @@ class SweepEngine {
 
   /// The engine the sweep runs on (the shared one, or the private one).
   AssessmentEngine& engine();
+
+  /// Receives one assessed cell. `endpoint` is non-null for a tornado
+  /// endpoint cell only: its full per-record results, named, which the
+  /// visitor may move from.
+  using CellVisitor = std::function<void(size_t index, const SweepCell& cell,
+                                         ScenarioResults* endpoint)>;
+
+  /// The block loop of run() and of the shard writer (run_sweep_shard):
+  /// assess expansion cells [begin, end) in blocks of
+  /// options().batch_size into one reused block buffer, and hand each
+  /// cell to `visit` in expansion order. A cell's totals and coverage
+  /// are summed in record order straight from the buffer, bit-identical
+  /// to make_sweep_cell over assess(). Its name and description are
+  /// formatted only when `named` is set or the cell is the base or a
+  /// tornado endpoint; otherwise they are empty. Throws util::Error
+  /// naming the cell when a derived spec fails spec_value_complaint.
+  /// Returns the number of engine blocks run.
+  size_t assess_cells(const std::vector<top500::SystemRecord>& records,
+                      const SweepExpansion& expansion, size_t begin,
+                      size_t end, bool named, const CellVisitor& visit);
 
   /// The effective options (with `engine` filled in when a private one
   /// was constructed). The shard runner reads batch/stats knobs here.

@@ -319,29 +319,18 @@ size_t run_sweep_shard(SweepEngine& engine,
   // The shard's cells ship as an embedded EZCELLS stream (round 0,
   // global expansion indices): the merge replays them to rebuild the
   // base cell and marginals and to serve the merged --cells-out.
-  const size_t endpoint_end = 1 + 2 * tornado_endpoints(spec).size();
   std::map<size_t, ScenarioResults> retained;
   SweepReduction reduction(streaming);
   {
     BinaryCellSink cells(out);
-    const std::vector<uint64_t> record_fps =
-        engine.engine().record_fingerprints(records);
-    size_t index = begin;
-    for (size_t start = begin; start < end; start += batch_size) {
-      ScenarioSet batch;
-      const size_t stop = std::min(start + batch_size, end);
-      for (size_t i = start; i < stop; ++i) batch.add(expansion.cell(i));
-      EditionAssessment assessed =
-          engine.engine().assess(records, record_fps, batch);
-      for (auto& r : assessed.scenarios) {
-        const SweepCell cell = make_sweep_cell(r);
-        const size_t i = index++;
-        reduction.add(cell);
-        cells.cell(0, i, cell);
-        if (extra != nullptr) extra->cell(0, i, cell);
-        if (i >= 1 && i < endpoint_end) retained.emplace(i, std::move(r));
-      }
-    }
+    engine.assess_cells(
+        records, expansion, begin, end, /*named=*/true,
+        [&](size_t i, const SweepCell& cell, ScenarioResults* endpoint) {
+          reduction.add(cell);
+          cells.cell(0, i, cell);
+          if (extra != nullptr) extra->cell(0, i, cell);
+          if (endpoint != nullptr) retained.emplace(i, std::move(*endpoint));
+        });
     cells.finish();
   }
 

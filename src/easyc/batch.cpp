@@ -1,6 +1,7 @@
 #include "easyc/batch.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "grid/pue.hpp"
 #include "hw/memory.hpp"
@@ -94,35 +95,76 @@ Workspace& chunk_workspace() {
 
 size_t BatchAssessor::add_profile(Inputs inputs) {
   Profile p;
-  // Distinct (country, region) pairs share one ACI table slot; 0x1f is
-  // a field separator no real country/region string contains.
-  std::string key;
-  key.reserve(inputs.country.size() + inputs.region.size() + 1);
-  key += inputs.country;
-  key += '\x1f';
-  key += inputs.region;
-  const auto [it, inserted] =
-      aci_key_by_pair_.emplace(std::move(key),
-                               static_cast<uint32_t>(aci_pairs_.size()));
-  if (inserted) aci_pairs_.emplace_back(inputs.country, inputs.region);
-  p.aci_key = it->second;
   p.inputs = std::move(inputs);
   profiles_.push_back(std::move(p));
-  stats_.aci_keys = aci_pairs_.size();
   return profiles_.size() - 1;
 }
 
+size_t BatchAssessor::add_profiles(
+    size_t count, const std::function<Inputs(size_t)>& project,
+    par::ThreadPool* pool) {
+  EASYC_REQUIRE(resolved_ == profiles_.size(),
+                "add_profiles: resolve earlier profiles first");
+  const size_t first = profiles_.size();
+  profiles_.resize(first + count);
+  resolve_pending(&project, pool);
+  return first;
+}
+
 void BatchAssessor::resolve_profiles(par::ThreadPool* pool) {
+  resolve_pending(nullptr, pool);
+}
+
+void BatchAssessor::resolve_pending(
+    const std::function<Inputs(size_t)>* project, par::ThreadPool* pool) {
   const size_t begin = resolved_;
   const size_t end = profiles_.size();
   if (begin >= end) return;
-  par::parallel_for(pool ? *pool : par::ThreadPool::global(), begin, end,
-                    [&](size_t i) {
-                      Profile& p = profiles_[i];
-                      p.inputs.validate();
-                      p.op = resolve_operational(p.inputs);
-                      p.emb = resolve_embodied(p.inputs);
-                    });
+  // Interleaved tasks of a few dozen profiles, so a daemon's interactive
+  // requests do not queue behind a bulk block's whole resolve pass. Each
+  // task keeps its own first failure; the lowest task's is rethrown, so
+  // the error is the lowest failing profile's for every pool size.
+  constexpr size_t kProfilesPerTask = 32;
+  const size_t ntasks = (end - begin + kProfilesPerTask - 1) / kProfilesPerTask;
+  std::vector<std::exception_ptr> errors(ntasks);
+  par::parallel_for_interleaved(
+      pool ? *pool : par::ThreadPool::global(), 0, ntasks, [&](size_t t) {
+        const size_t lo = begin + t * kProfilesPerTask;
+        const size_t hi = std::min(end, lo + kProfilesPerTask);
+        try {
+          for (size_t i = lo; i < hi; ++i) {
+            Profile& p = profiles_[i];
+            if (project != nullptr) p.inputs = (*project)(i - begin);
+            p.inputs.validate();
+            p.op = resolve_operational(p.inputs);
+            p.emb = resolve_embodied(p.inputs);
+          }
+        } catch (...) {
+          errors[t] = std::current_exception();
+        }
+      });
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  // Distinct (country, region) pairs share one ACI table slot, keyed in
+  // profile order; 0x1f is a field separator no real country/region
+  // string contains.
+  std::string key;
+  for (size_t i = begin; i < end; ++i) {
+    Profile& p = profiles_[i];
+    key.assign(p.inputs.country);
+    key += '\x1f';
+    key += p.inputs.region;
+    auto it = aci_key_by_pair_.find(key);
+    if (it == aci_key_by_pair_.end()) {
+      it = aci_key_by_pair_
+               .emplace(key, static_cast<uint32_t>(aci_pairs_.size()))
+               .first;
+      aci_pairs_.emplace_back(p.inputs.country, p.inputs.region);
+    }
+    p.aci_key = it->second;
+  }
+  stats_.aci_keys = aci_pairs_.size();
   stats_.profiles += end - begin;
   stats_.validations += end - begin;
   resolved_ = end;

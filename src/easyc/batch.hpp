@@ -103,9 +103,21 @@ class BatchAssessor {
 
   /// Validate + resolve every profile registered since the last call —
   /// once per profile, not once per scenario. Throws ValidationError
-  /// exactly as the scalar path would. Parallel across `pool` (null =
-  /// process-global pool).
+  /// exactly as the scalar path would (the lowest failing profile's,
+  /// for any pool size). Parallel across `pool` (null = process-global
+  /// pool), interleaved with the pool's other callers.
   void resolve_profiles(par::ThreadPool* pool = nullptr);
+
+  /// Register `count` profiles whose inputs `project(k)` builds, k in
+  /// [0, count), and resolve them: each task of the one parallel pass
+  /// projects, validates and resolves its profiles in place. Ids are
+  /// consecutive from the returned first id; the ACI keys are assigned
+  /// afterwards in profile order, so ids and tables match count
+  /// add_profile calls followed by resolve_profiles. Every profile
+  /// registered earlier must already be resolved.
+  size_t add_profiles(size_t count,
+                      const std::function<Inputs(size_t)>& project,
+                      par::ThreadPool* pool = nullptr);
 
   /// Assess every job's lanes in one parallel pass over (job, chunk)
   /// tasks; `publish` (optional) sees each chunk as soon as it is
@@ -146,6 +158,10 @@ class BatchAssessor {
     std::vector<AciEntry> entries;
   };
 
+  /// The resolve pass over profiles_[resolved_..): `project` (may be
+  /// null) first builds profile i's inputs as project(i - resolved_).
+  void resolve_pending(const std::function<Inputs(size_t)>* project,
+                       par::ThreadPool* pool);
   /// Fill `db`'s table for every registered (country, region) pair;
   /// returns its index in aci_tables_.
   size_t ensure_aci_table(const grid::AciDatabase* db);

@@ -1,15 +1,19 @@
 // Sweep engine: axis-spec grammar, grid expansion counts and naming,
 // axis-override correctness against hand-built specs, Monte-Carlo seed
 // determinism, and the engine guarantees (1-vs-N-thread and batch-size
-// bit-identity, cache amortization across aliased cells).
+// bit-identity, cache amortization across aliased cells, and cells
+// summed from the block buffer matching make_sweep_cell bit for bit).
 #include "analysis/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "analysis/sweep_shard.hpp"
 #include "parallel/thread_pool.hpp"
 #include "top500/generator.hpp"
 #include "util/csv.hpp"
@@ -575,6 +579,211 @@ TEST(SweepAdaptive, ReportAndExportAreIdenticalAcrossThreadsAndCacheState) {
   EXPECT_EQ(a.csv, c.csv);
   EXPECT_DOUBLE_EQ(c.hit_rate, 1.0);  // the warm rerun is pure lookups
   EXPECT_NE(a.report.find("Adaptive refinement"), std::string::npos);
+}
+
+
+// --- block buffer vs the per-scenario path ----------------------------
+
+// Base, two endpoints per axis, a 2x2x2 grid and Monte-Carlo draws: every
+// expansion arm, 24 cells.
+constexpr const char* kEveryArm = "aci=25,300;pue=1.1,1.4;life=4,8;mc=9@5";
+
+// The cells as the per-scenario path computes them: named ScenarioSets
+// of expansion.cell(i), assessed by AssessmentEngine::assess and folded
+// by make_sweep_cell.
+std::vector<SweepCell> reference_cells(const SweepSpec& spec,
+                                       size_t batch_size) {
+  const SweepExpansion expansion(spec);
+  AssessmentEngine engine;
+  std::vector<SweepCell> out;
+  for (size_t start = 0; start < expansion.size(); start += batch_size) {
+    ScenarioSet set;
+    for (size_t i = start; i < std::min(start + batch_size, expansion.size());
+         ++i) {
+      set.add(expansion.cell(i));
+    }
+    for (const auto& r : engine.assess(records60(), set).scenarios) {
+      out.push_back(make_sweep_cell(r));
+    }
+  }
+  return out;
+}
+
+class CaptureSink : public SweepCellSink {
+ public:
+  void cell(size_t, size_t index, const SweepCell& c) override {
+    EXPECT_EQ(index, cells.size());
+    cells.push_back(c);
+  }
+  std::vector<SweepCell> cells;
+};
+
+uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void expect_same_cell(const SweepCell& got, const SweepCell& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.name, want.name) << where;
+  EXPECT_EQ(got.description, want.description) << where;
+  EXPECT_EQ(got.kind, want.kind) << where;
+  EXPECT_EQ(got.fingerprint, want.fingerprint) << where;
+  for (size_t a = 0; a < kNumSweepAxes; ++a) {
+    ASSERT_EQ(got.coords[a].has_value(), want.coords[a].has_value()) << where;
+    if (got.coords[a]) {
+      EXPECT_EQ(bits(*got.coords[a]), bits(*want.coords[a])) << where;
+    }
+  }
+  EXPECT_EQ(bits(got.op_total_mt), bits(want.op_total_mt)) << where;
+  EXPECT_EQ(bits(got.emb_total_mt), bits(want.emb_total_mt)) << where;
+  EXPECT_EQ(bits(got.annualized_mt), bits(want.annualized_mt)) << where;
+  EXPECT_EQ(got.op_covered, want.op_covered) << where;
+  EXPECT_EQ(got.emb_covered, want.emb_covered) << where;
+}
+
+TEST(SweepBlockBuffer, CellsMatchMakeSweepCellBitForBit) {
+  const auto spec = SweepSpec::parse(kEveryArm);
+  const std::vector<SweepCell> want = reference_cells(spec, 64);
+  ASSERT_EQ(want.size(), 24u);
+  // The reference itself spans every arm.
+  for (const SweepCellKind kind :
+       {SweepCellKind::kBase, SweepCellKind::kAxisEndpoint,
+        SweepCellKind::kGrid, SweepCellKind::kMonteCarlo}) {
+    EXPECT_TRUE(std::any_of(want.begin(), want.end(),
+                            [&](const SweepCell& c) { return c.kind == kind; }));
+  }
+  // The reference does not depend on its own block shape.
+  const std::vector<SweepCell> want7 = reference_cells(spec, 7);
+  for (size_t i = 0; i < want.size(); ++i) {
+    expect_same_cell(want7[i], want[i], "reference cell " + std::to_string(i));
+  }
+
+  enum class Cache { kOff, kCold, kWarm };
+  for (const unsigned threads : {1u, 4u}) {
+    par::ThreadPool pool(threads);
+    for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
+      for (const Cache cache : {Cache::kOff, Cache::kCold, Cache::kWarm}) {
+        AssessmentEngine::Options eopt;
+        eopt.pool = &pool;
+        eopt.cache_enabled = cache != Cache::kOff;
+        AssessmentEngine engine(eopt);
+        SweepEngine::Options opt;
+        opt.engine = &engine;
+        opt.batch_size = batch;
+        if (cache == Cache::kWarm) SweepEngine(opt).run(records60(), spec);
+        CaptureSink sink;
+        const SweepReport report = SweepEngine(opt).run(records60(), spec,
+                                                        &sink);
+        if (cache == Cache::kWarm) {
+          EXPECT_DOUBLE_EQ(report.cache.hit_rate(), 1.0);
+        }
+        const std::string where = std::to_string(threads) + " threads, batch " +
+                                  std::to_string(batch) + ", cache mode " +
+                                  std::to_string(static_cast<int>(cache));
+        ASSERT_EQ(sink.cells.size(), want.size()) << where;
+        ASSERT_EQ(report.cells.size(), want.size()) << where;
+        for (size_t i = 0; i < want.size(); ++i) {
+          const std::string at = where + ", cell " + std::to_string(i);
+          expect_same_cell(sink.cells[i], want[i], at);
+          expect_same_cell(report.cells[i], want[i], at);
+        }
+        expect_same_cell(report.base, want[0], where + ", base");
+      }
+    }
+  }
+}
+
+TEST(SweepBlockBuffer, OnDemandNamesMatchTheNamedCells) {
+  const SweepExpansion expansion(SweepSpec::parse(kEveryArm));
+  for (size_t i = 0; i < expansion.size(); ++i) {
+    const ScenarioSpec named = expansion.cell(i);
+    ScenarioSpec unnamed = expansion.unnamed_cell(i);
+    EXPECT_TRUE(unnamed.name.empty()) << i;
+    EXPECT_TRUE(unnamed.description.empty()) << i;
+    EXPECT_EQ(expansion.cell_name(i), named.name) << i;
+    EXPECT_EQ(expansion.cell_description(i), named.description) << i;
+    EXPECT_EQ(expansion.kind(i), cell_kind_from_name(named.name)) << i;
+    unnamed.name = named.name;
+    unnamed.description = named.description;
+    EXPECT_EQ(unnamed, named) << i;
+  }
+}
+
+TEST(SweepBlockBuffer, ReportBytesIgnoreSinksAndRetention) {
+  const auto spec = SweepSpec::parse(kEveryArm);
+  std::vector<std::string> reports;
+  std::vector<std::string> csvs;
+  for (const bool with_sink : {false, true}) {
+    for (const bool retain : {false, true}) {
+      SweepEngine::Options opt;
+      opt.batch_size = 7;
+      opt.retain_cells = retain;
+      std::ostringstream csv;
+      CsvCellSink sink(csv);
+      const SweepReport r =
+          SweepEngine(opt).run(records60(), spec, with_sink ? &sink : nullptr);
+      EXPECT_EQ(r.cells.size(), retain ? spec.total_cells() : 0u);
+      EXPECT_EQ(r.base.name, "sweep/base");
+      reports.push_back(render_sweep_report(r));
+      if (with_sink) csvs.push_back(csv.str());
+    }
+  }
+  for (const auto& r : reports) EXPECT_EQ(r, reports.front());
+  EXPECT_EQ(csvs[0], csvs[1]);
+}
+
+TEST(SweepBlockBuffer, FourShardMergeMatchesTheReferenceCells) {
+  const auto spec = SweepSpec::parse(kEveryArm);
+  std::ostringstream want_csv;
+  {
+    CsvCellSink sink(want_csv);
+    const std::vector<SweepCell> want = reference_cells(spec, 64);
+    for (size_t i = 0; i < want.size(); ++i) sink.cell(0, i, want[i]);
+  }
+  std::vector<std::string> paths;
+  for (uint32_t i = 1; i <= 4; ++i) {
+    SweepEngine::Options opt;
+    opt.batch_size = 5;
+    SweepEngine engine(opt);
+    std::ostringstream part;
+    run_sweep_shard(engine, records60(), spec, ShardRef{i, 4}, part);
+    paths.push_back(::testing::TempDir() + "block_buffer_" +
+                    std::to_string(i) + "of4.ezpart");
+    std::ofstream out(paths.back(), std::ios::binary | std::ios::trunc);
+    out << part.str();
+    ASSERT_TRUE(out.good()) << paths.back();
+  }
+  std::ostringstream merged_csv;
+  CsvCellSink merged_sink(merged_csv);
+  MergeOptions merge;
+  merge.sink = &merged_sink;
+  const SweepReport merged =
+      merge_sweep_partials(paths, records60(), spec, merge);
+  EXPECT_EQ(merged_csv.str(), want_csv.str());
+  EXPECT_EQ(render_sweep_report(merged),
+            render_sweep_report(SweepEngine().run(records60(), spec)));
+}
+
+TEST(SweepBlockBuffer, InvalidDerivedCellStillThrowsNamingTheCell) {
+  ScenarioSpec base = sc::enhanced();
+  base.pue_override = 0.5;  // only the pue axis cells override it
+  const auto spec = SweepSpec::parse("pue=1.1,1.4", base);
+  std::string registration_error;
+  try {
+    expand_sweep(spec);
+  } catch (const util::Error& e) {
+    registration_error = e.what();
+  }
+  ASSERT_NE(registration_error.find("'sweep/base'"), std::string::npos)
+      << registration_error;
+  SweepEngine::Options opt;
+  opt.batch_size = 1;
+  CaptureSink sink;
+  try {
+    SweepEngine(opt).run(records60(), spec, &sink);
+    ADD_FAILURE() << "the invalid base cell was assessed";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(std::string(e.what()), registration_error);
+  }
+  EXPECT_TRUE(sink.cells.empty());
 }
 
 }  // namespace
