@@ -115,25 +115,35 @@ Results assess_soa(const ScenarioSet& set, easyc::par::ThreadPool& pool,
   const auto& records = catalog();
   Results out(set.size(), std::vector<CellValue>(records.size()));
   easyc::model::BatchAssessor batch;
-  std::array<std::vector<size_t>, easyc::top500::kNumDataVisibilities> pids;
+  // Profile ids of visibility v start at first_id[v]; all distinct
+  // (visibility, record) pairs resolve in one call.
+  constexpr size_t kUnused = static_cast<size_t>(-1);
+  std::array<size_t, easyc::top500::kNumDataVisibilities> first_id{};
+  first_id.fill(kUnused);
+  std::vector<easyc::top500::DataVisibility> order;
   for (const auto& spec : set.specs()) {
-    auto& ids = pids[static_cast<size_t>(spec.visibility)];
-    if (!ids.empty()) continue;
-    for (const auto& r : records) {
-      ids.push_back(
-          batch.add_profile(easyc::top500::to_inputs(r, spec.visibility)));
-    }
+    size_t& first = first_id[static_cast<size_t>(spec.visibility)];
+    if (first != kUnused) continue;
+    first = order.size() * records.size();
+    order.push_back(spec.visibility);
   }
-  batch.resolve_profiles(&pool);
+  batch.add_profiles(
+      order.size() * records.size(),
+      [&](size_t k) {
+        return easyc::top500::to_inputs(records[k % records.size()],
+                                        order[k / records.size()]);
+      },
+      &pool);
   std::vector<easyc::model::EasyCOptions> options;
   std::vector<std::vector<easyc::model::BatchAssessor::Cell>> cells(
       set.size());
   std::vector<easyc::model::BatchAssessor::Job> jobs;
   for (const auto& spec : set.specs()) options.push_back(spec.to_options());
   for (size_t s = 0; s < set.size(); ++s) {
-    const auto& ids = pids[static_cast<size_t>(set.specs()[s].visibility)];
+    const size_t first =
+        first_id[static_cast<size_t>(set.specs()[s].visibility)];
     for (size_t i = 0; i < records.size(); ++i) {
-      cells[s].push_back({ids[i], &out[s][i]});
+      cells[s].push_back({first + i, &out[s][i]});
     }
     jobs.push_back({&options[s], cells[s].data(), cells[s].size()});
   }

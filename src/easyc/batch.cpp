@@ -93,33 +93,13 @@ Workspace& chunk_workspace() {
 
 }  // namespace
 
-size_t BatchAssessor::add_profile(Inputs inputs) {
-  Profile p;
-  p.inputs = std::move(inputs);
-  profiles_.push_back(std::move(p));
-  return profiles_.size() - 1;
-}
-
 size_t BatchAssessor::add_profiles(
     size_t count, const std::function<Inputs(size_t)>& project,
     par::ThreadPool* pool) {
-  EASYC_REQUIRE(resolved_ == profiles_.size(),
-                "add_profiles: resolve earlier profiles first");
-  const size_t first = profiles_.size();
-  profiles_.resize(first + count);
-  resolve_pending(&project, pool);
-  return first;
-}
-
-void BatchAssessor::resolve_profiles(par::ThreadPool* pool) {
-  resolve_pending(nullptr, pool);
-}
-
-void BatchAssessor::resolve_pending(
-    const std::function<Inputs(size_t)>* project, par::ThreadPool* pool) {
-  const size_t begin = resolved_;
-  const size_t end = profiles_.size();
-  if (begin >= end) return;
+  const size_t begin = profiles_.size();
+  const size_t end = begin + count;
+  if (count == 0) return begin;
+  profiles_.resize(end);
   // Interleaved tasks of a few dozen profiles, so a daemon's interactive
   // requests do not queue behind a bulk block's whole resolve pass. Each
   // task keeps its own first failure; the lowest task's is rethrown, so
@@ -134,7 +114,7 @@ void BatchAssessor::resolve_pending(
         try {
           for (size_t i = lo; i < hi; ++i) {
             Profile& p = profiles_[i];
-            if (project != nullptr) p.inputs = (*project)(i - begin);
+            p.inputs = project(i - begin);
             p.inputs.validate();
             p.op = resolve_operational(p.inputs);
             p.emb = resolve_embodied(p.inputs);
@@ -144,7 +124,9 @@ void BatchAssessor::resolve_pending(
         }
       });
   for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
+    if (!e) continue;
+    profiles_.resize(begin);
+    std::rethrow_exception(e);
   }
   // Distinct (country, region) pairs share one ACI table slot, keyed in
   // profile order; 0x1f is a field separator no real country/region
@@ -167,7 +149,7 @@ void BatchAssessor::resolve_pending(
   stats_.aci_keys = aci_pairs_.size();
   stats_.profiles += end - begin;
   stats_.validations += end - begin;
-  resolved_ = end;
+  return begin;
 }
 
 size_t BatchAssessor::ensure_aci_table(const grid::AciDatabase* db) {
@@ -442,7 +424,6 @@ void BatchAssessor::assess_chunk(const EasyCOptions& options,
 
 void BatchAssessor::clear() {
   profiles_.clear();
-  resolved_ = 0;
   aci_key_by_pair_.clear();
   aci_pairs_.clear();
   aci_tables_.clear();

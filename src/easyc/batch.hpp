@@ -96,32 +96,25 @@ class BatchAssessor {
   /// tasks' calls, so it must be thread-safe.
   using Publish = std::function<void(size_t job, size_t begin, size_t end)>;
 
-  /// Register a distinct record's inputs; returns its profile id.
-  /// Callers dedupe (the engine keys profiles by content fingerprint
-  /// and visibility); the assessor resolves whatever it is given.
-  size_t add_profile(Inputs inputs);
-
-  /// Validate + resolve every profile registered since the last call —
-  /// once per profile, not once per scenario. Throws ValidationError
+  /// Register `count` distinct record profiles whose inputs
+  /// `project(k)` builds, k in [0, count), and resolve them — once per
+  /// profile, not once per scenario. Callers dedupe (the engine keys
+  /// profiles by content fingerprint and visibility); the assessor
+  /// resolves whatever it is given. Ids are consecutive from the
+  /// returned first id. One parallel pass across `pool` (null =
+  /// process-global pool), interleaved with the pool's other callers:
+  /// each task projects, validates and resolves its profiles in place;
+  /// the ACI keys are assigned afterwards in profile order, so ids and
+  /// tables do not depend on the pool size. Throws ValidationError
   /// exactly as the scalar path would (the lowest failing profile's,
-  /// for any pool size). Parallel across `pool` (null = process-global
-  /// pool), interleaved with the pool's other callers.
-  void resolve_profiles(par::ThreadPool* pool = nullptr);
-
-  /// Register `count` profiles whose inputs `project(k)` builds, k in
-  /// [0, count), and resolve them: each task of the one parallel pass
-  /// projects, validates and resolves its profiles in place. Ids are
-  /// consecutive from the returned first id; the ACI keys are assigned
-  /// afterwards in profile order, so ids and tables match count
-  /// add_profile calls followed by resolve_profiles. Every profile
-  /// registered earlier must already be resolved.
+  /// for any pool size) and then registers none of the `count`.
   size_t add_profiles(size_t count,
                       const std::function<Inputs(size_t)>& project,
                       par::ThreadPool* pool = nullptr);
 
   /// Assess every job's lanes in one parallel pass over (job, chunk)
   /// tasks; `publish` (optional) sees each chunk as soon as it is
-  /// written. Profiles must be resolved. Every lane matches
+  /// written. Every lane matches
   /// EasyCModel::assess_cell byte-for-byte. Each job's options are
   /// checked before any lane runs.
   void assess(const std::vector<Job>& jobs, par::ThreadPool* pool = nullptr,
@@ -158,10 +151,6 @@ class BatchAssessor {
     std::vector<AciEntry> entries;
   };
 
-  /// The resolve pass over profiles_[resolved_..): `project` (may be
-  /// null) first builds profile i's inputs as project(i - resolved_).
-  void resolve_pending(const std::function<Inputs(size_t)>* project,
-                       par::ThreadPool* pool);
   /// Fill `db`'s table for every registered (country, region) pair;
   /// returns its index in aci_tables_.
   size_t ensure_aci_table(const grid::AciDatabase* db);
@@ -169,8 +158,7 @@ class BatchAssessor {
   void assess_chunk(const EasyCOptions& options, const Cell* cells,
                     size_t begin, size_t end, const AciEntry* aci) const;
 
-  std::vector<Profile> profiles_;
-  size_t resolved_ = 0;  ///< profiles_[0..resolved_) are resolved
+  std::vector<Profile> profiles_;  ///< every one resolved
 
   // Distinct (country, region) -> aci_key, and the per-batch tables.
   std::unordered_map<std::string, uint32_t> aci_key_by_pair_;

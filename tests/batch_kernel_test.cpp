@@ -409,8 +409,8 @@ TEST(BatchKernel, MixedLanesMatchScalarUnderEveryOptionSet) {
   par::ThreadPool one(1);
 
   model::BatchAssessor batch;
-  for (const auto& in : lanes) batch.add_profile(in);
-  batch.resolve_profiles(&one);
+  batch.add_profiles(
+      lanes.size(), [&](size_t k) { return lanes[k]; }, &one);
 
   for (const auto& options : option_sets()) {
     std::vector<model::CellValue> got(lanes.size());
@@ -439,8 +439,8 @@ TEST(BatchKernel, OnePassOverManyJobsPublishesEveryLaneOnce) {
   const auto sets = option_sets();
   par::ThreadPool wide(4);
   model::BatchAssessor batch;
-  for (const auto& in : lanes) batch.add_profile(in);
-  batch.resolve_profiles(&wide);
+  batch.add_profiles(
+      lanes.size(), [&](size_t k) { return lanes[k]; }, &wide);
 
   std::vector<std::vector<model::CellValue>> got(
       sets.size(), std::vector<model::CellValue>(lanes.size()));
@@ -481,8 +481,9 @@ TEST(BatchKernel, InvalidInputsThrowValidationErrorLikeScalar) {
   EXPECT_THROW(oracle.assess(bad), util::ValidationError);
 
   model::BatchAssessor batch;
-  batch.add_profile(bad);
-  EXPECT_THROW(batch.resolve_profiles(), util::ValidationError);
+  EXPECT_THROW(batch.add_profiles(1, [&](size_t) { return bad; }),
+               util::ValidationError);
+  EXPECT_EQ(batch.num_profiles(), 0u);
 }
 
 // --- stats accounting -----------------------------------------------
